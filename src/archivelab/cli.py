@@ -20,14 +20,14 @@ from .cookiejar import JarPolicy, import_netscape
 from .crawler import CrawlPolicy, crawl
 from .demo import DemoPlan, run_demo
 from .http_core import canonicalize, parse_timestamp14
-from .origin import SiteConfig, fetch_fn, load_site_config, serve_origin
+from .origin import SiteConfig, fetch_fn, load_site_config, make_origin_server
 from .replay import (
     FALLBACK_NEAREST_ANY,
     FALLBACK_NOT_FOUND,
     ReplayMode,
     RequestContext,
+    make_replay_server,
     reconstruct_composite,
-    serve,
 )
 from .store import ArchiveStore, VariantConfig
 
@@ -102,8 +102,13 @@ def _context_from_args(args: argparse.Namespace) -> RequestContext:
 def cmd_serve_origin(args: argparse.Namespace) -> int:
     site = _site_from_args(args)
     port = int(_cfg(args, "port", 8080))
-    print(f"origin for {site.host} listening on http://127.0.0.1:{port}/")
-    serve_origin(site, port)
+    with make_origin_server(site, port) as server:
+        print(
+            f"origin for {site.host} listening on "
+            f"http://127.0.0.1:{server.server_address[1]}/",
+            flush=True,
+        )
+        server.serve_forever()
     return 0
 
 
@@ -150,11 +155,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     cookie_file = _cfg(args, "request_cookies", None)
     if cookie_file:
         base_jar = import_netscape(Path(cookie_file).read_text(encoding="utf-8"))
-    print(
-        f"replaying {len(store)} captures ({mode.kind}) on "
-        f"http://127.0.0.1:{port}/web/<timestamp>/<uri>"
-    )
-    serve(store, mode, port, base_jar=base_jar)
+    with make_replay_server(store, mode, port, base_jar=base_jar) as server:
+        print(
+            f"replaying {len(store)} captures ({mode.kind}) on "
+            f"http://127.0.0.1:{server.server_address[1]}/web/<timestamp>/<uri>",
+            flush=True,
+        )
+        server.serve_forever()
     return 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Iterable
 
 from .http_core import CanonicalUri, Cookie, ensure_utc
 
@@ -221,26 +220,4 @@ def import_netscape(text: str, policy: JarPolicy | None = None) -> CookieJar:
         if key not in jar._sequence:
             jar._sequence[key] = jar._counter
             jar._counter += 1
-    return jar
-
-
-def jar_from_pairs(
-    pairs: Iterable[tuple[str, str]], domain: str, now: datetime
-) -> CookieJar:
-    """Build a session jar holding `pairs` as host-only cookies at path /."""
-    jar = CookieJar()
-    now = ensure_utc(now)
-    for name, value in pairs:
-        jar.store(
-            Cookie(
-                name=name,
-                value=value,
-                domain=domain,
-                host_only=True,
-                path="/",
-                expires_at=None,
-                created_at=now,
-            ),
-            now,
-        )
     return jar

@@ -40,7 +40,6 @@ __all__ = [
     "site_config_from_dict",
     "load_site_config",
     "make_origin_server",
-    "serve_origin",
 ]
 
 # 47 supported language tags; "kn" deliberately last so it is the final
@@ -340,9 +339,3 @@ def make_origin_server(site: SiteConfig, port: int) -> ThreadingHTTPServer:
     """Build (but do not start) the TCP listener; port 0 picks a free port."""
     handler = type("OriginHandler", (_OriginHandler,), {"site": site})
     return ThreadingHTTPServer(("127.0.0.1", port), handler)
-
-
-def serve_origin(site: SiteConfig, port: int) -> None:
-    """Run the origin listener until interrupted."""
-    with make_origin_server(site, port) as server:
-        server.serve_forever()

@@ -46,7 +46,6 @@ __all__ = [
     "select_memento",
     "reconstruct_composite",
     "make_replay_server",
-    "serve",
 ]
 
 BASELINE = "baseline"
@@ -102,10 +101,6 @@ class CompositeMemento:
     target_datetime: datetime
 
 
-def _nearest(entries, target: datetime):
-    return min(entries, key=lambda e: (abs(e.datetime - target), e.datetime, e.id))
-
-
 def select_memento(
     store: ArchiveStore,
     uri: CanonicalUri | str,
@@ -121,22 +116,15 @@ def select_memento(
     result. Variant-aware: same rule over the captures whose variant key the
     context reproduces, falling back per mode when none match.
     """
-    target = ensure_utc(target)
-    ctx = ctx if ctx is not None else RequestContext.empty()
-    cfg = cfg if cfg is not None else store.variant_config
-    entries = store.lookup(uri)
-    if not entries:
-        return None
-    if mode.kind == BASELINE:
-        return store.get_record(_nearest(entries, target).id)
-    matching = [
-        e for e in entries if variant_matches(e.variant_key, ctx.headers, cfg)
-    ]
-    if matching:
-        return store.get_record(_nearest(matching, target).id)
-    if mode.fallback == FALLBACK_NEAREST_ANY:
-        return store.get_record(_nearest(entries, target).id)
-    return None
+    entry = None
+    if mode.kind == VARIANT_AWARE:
+        ctx = ctx if ctx is not None else RequestContext.empty()
+        entry = store.nearest(uri, target, ctx.headers, cfg)
+        if entry is None and mode.fallback == FALLBACK_NOT_FOUND:
+            return None
+    if entry is None:
+        entry = store.nearest(uri, target)
+    return store.get_record(entry.id) if entry is not None else None
 
 
 def reconstruct_composite(
@@ -192,7 +180,11 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         if record is None:
             self.send_error(404, "no matching capture")
             return
-        self.send_response(record.response_status if record.response_status else 200)
+        if record.response_status:
+            self.send_response(record.response_status)
+        else:  # a failed fetch: the archive holds no response to replay
+            self.send_response(504)
+            self.send_header("x-archive-error", "capture-fetch-failed")
         content_type = record.response_headers.get("content-type")
         if content_type is not None:
             self.send_header("content-type", content_type)
@@ -255,15 +247,3 @@ def make_replay_server(
         },
     )
     return ThreadingHTTPServer(("127.0.0.1", port), handler)
-
-
-def serve(
-    store: ArchiveStore,
-    mode: ReplayMode,
-    port: int,
-    cfg: VariantConfig | None = None,
-    base_jar: CookieJar | None = None,
-) -> None:
-    """Run the replay listener until interrupted."""
-    with make_replay_server(store, mode, port, cfg, base_jar) as server:
-        server.serve_forever()

@@ -19,14 +19,19 @@ On disk an archive is a directory of three files:
 
 Variant keys are computed at ingest time from the request/response header
 pair and stored; lookups never recompute them.
+
+In memory each URI's captures are indexed twice: one list of all entries in
+(datetime, id) order, and the same entries grouped by dimension tuple, then
+by variant key, each group in (datetime, id) order. `nearest` bisects them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import insort
-from dataclasses import dataclass, replace
+from bisect import bisect_left, insort
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -216,6 +221,52 @@ class IndexEntry(NamedTuple):
     id: int
 
 
+def _entry_datetime(entry: IndexEntry) -> datetime:
+    return entry.datetime
+
+
+def _entry_order(entry: IndexEntry) -> tuple[datetime, int]:
+    return entry.datetime, entry.id
+
+
+def _nearest(entries: list[IndexEntry], target: datetime) -> IndexEntry | None:
+    """The entry of a (datetime, id)-sorted list that minimizes
+    (|datetime - target|, datetime, id), or None when the list is empty.
+
+    Only two entries can win: the first at or after `target`, and the first
+    (smallest id) of the run sharing the latest datetime before it.
+    """
+    i = bisect_left(entries, target, key=_entry_datetime)
+    candidates = entries[i : i + 1]
+    if i:
+        before = entries[i - 1].datetime
+        candidates.append(entries[bisect_left(entries, before, 0, i, key=_entry_datetime)])
+    return _closest(candidates, target)
+
+
+def _closest(entries: list[IndexEntry], target: datetime) -> IndexEntry | None:
+    return min(
+        entries, key=lambda e: (abs(e.datetime - target), e.datetime, e.id), default=None
+    )
+
+
+@dataclass
+class _UriIndex:
+    """Every capture of one URI, (datetime, id)-sorted, plus the same entries
+    grouped by the dimension tuple of their variant key, then by the key."""
+
+    entries: list[IndexEntry] = field(default_factory=list)
+    groups: dict[tuple[str, ...], dict[VariantKey, list[IndexEntry]]] = field(
+        default_factory=dict
+    )
+
+    def add(self, entry: IndexEntry) -> None:
+        dimensions = tuple(d for d, _ in entry.variant_key.pairs)
+        group = self.groups.setdefault(dimensions, {}).setdefault(entry.variant_key, [])
+        insort(group, entry, key=_entry_order)
+        insort(self.entries, entry, key=_entry_order)
+
+
 def _frame_header(record: ArchiveRecord) -> bytes:
     header = {
         "id": record.id,
@@ -268,7 +319,7 @@ class ArchiveStore:
         self._directory = directory
         self.variant_config = variant_config
         self._records: dict[int, ArchiveRecord] = {}
-        self._by_uri: dict[str, list[IndexEntry]] = {}
+        self._by_uri: defaultdict[str, _UriIndex] = defaultdict(_UriIndex)
         self._next_id = 1
         self._records_file = None
         self._index_file = None
@@ -347,7 +398,6 @@ class ArchiveStore:
         path = self._directory / INDEX_NAME
         if not path.exists():
             raise StoreError(f"missing {INDEX_NAME} in {self._directory}")
-        rows: list[tuple[str, str, dict]] = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -357,17 +407,15 @@ class ArchiveStore:
                 if len(parts) != 3:
                     raise StoreError(f"index line {lineno} malformed: {line!r}")
                 try:
-                    rows.append((parts[0], parts[1], json.loads(parts[2])))
+                    blob = json.loads(parts[2])
                 except json.JSONDecodeError as exc:
                     raise StoreError(f"index line {lineno} malformed: {exc}") from exc
-        rows.sort(key=lambda r: (r[0], r[1], r[2]["id"]))
-        for uri, ts, blob in rows:
-            entry = IndexEntry(
-                parse_timestamp14(ts),
-                VariantKey.from_json(blob["variant"]),
-                int(blob["id"]),
-            )
-            self._by_uri.setdefault(uri, []).append(entry)
+                entry = IndexEntry(
+                    parse_timestamp14(parts[1]),
+                    VariantKey.from_json(blob["variant"]),
+                    int(blob["id"]),
+                )
+                self._by_uri[parts[0]].add(entry)
 
     # -- write path -----------------------------------------------------------
 
@@ -396,10 +444,7 @@ class ArchiveStore:
             except OSError as exc:
                 raise StoreError(f"append of record {assigned} failed: {exc}") from exc
         self._records[assigned] = record
-        entry = IndexEntry(record.datetime, record.variant_key, assigned)
-        insort(
-            self._by_uri.setdefault(uri, []), entry, key=lambda e: (e.datetime, e.id)
-        )
+        self._by_uri[uri].add(IndexEntry(record.datetime, record.variant_key, assigned))
         self._next_id = max(self._next_id, assigned + 1)
         return assigned
 
@@ -407,7 +452,41 @@ class ArchiveStore:
 
     def lookup(self, uri: CanonicalUri | str) -> list[IndexEntry]:
         """All captures of a canonical URI, ascending (datetime, id) order."""
-        return list(self._by_uri.get(str(uri), ()))
+        index = self._by_uri.get(str(uri))
+        return list(index.entries) if index is not None else []
+
+    def nearest(
+        self,
+        uri: CanonicalUri | str,
+        target: datetime,
+        request_headers: Headers | None = None,
+        cfg: VariantConfig | None = None,
+    ) -> IndexEntry | None:
+        """The capture of `uri` nearest `target`, or None.
+
+        Nearest means least |datetime - target|, then the earlier datetime,
+        then the smaller id. With `request_headers`, only captures whose
+        variant key those headers reproduce under `cfg` (default: the
+        store's) are candidates. The request's value for each dimension is
+        computed once per call, then each group is found by its key.
+        """
+        index = self._by_uri.get(str(uri))
+        if index is None:
+            return None
+        target = ensure_utc(target)
+        if request_headers is None:
+            return _nearest(index.entries, target)
+        cfg = cfg if cfg is not None else self.variant_config
+        values: dict[str, str] = {}
+        candidates = []
+        for dimensions, by_key in index.groups.items():
+            for dimension in dimensions:
+                if dimension not in values:
+                    values[dimension] = variant_value(request_headers, dimension, cfg)
+            group = by_key.get(VariantKey(tuple((d, values[d]) for d in dimensions)))
+            if group is not None:
+                candidates.append(_nearest(group, target))
+        return _closest(candidates, target)
 
     def get_record(self, record_id: int) -> ArchiveRecord:
         try:
@@ -429,8 +508,8 @@ class ArchiveStore:
         """Cross-check index rows against record frames; returns problems."""
         problems: list[str] = []
         seen_ids: set[int] = set()
-        for uri, entries in self._by_uri.items():
-            for entry in entries:
+        for uri, index in self._by_uri.items():
+            for entry in index.entries:
                 seen_ids.add(entry.id)
                 record = self._records.get(entry.id)
                 if record is None:

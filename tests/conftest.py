@@ -40,6 +40,7 @@ def make_record(
     body: bytes | None = None,
     status: int = 200,
     request_cookie: str | None = None,
+    accept_language: str | None = None,
     vary: str | None = None,
     variant_key: VariantKey | None = None,
     cfg: VariantConfig = VariantConfig(),
@@ -50,6 +51,8 @@ def make_record(
     request_pairs = [("host", canonical.host)]
     if request_cookie is not None:
         request_pairs.append(("cookie", request_cookie))
+    if accept_language is not None:
+        request_pairs.append(("accept-language", accept_language))
     request_headers = Headers(request_pairs)
 
     response_pairs = [("content-type", "text/html; charset=utf-8")]

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import archivelab
 from archivelab.cli import main
+from archivelab.replay import ReplayMode, select_memento
 from archivelab.store import ArchiveStore
 
 
@@ -196,6 +204,42 @@ class TestPipeline:
             assert first.request_headers.get("cookie") == "lang=ur"
         # jar was written back and the sticky cookie evolved with the crawl
         assert "lang" in cookie_file.read_text(encoding="utf-8")
+
+
+class TestReplayCommand:
+    def test_port_zero_announces_bound_port(self, tmp_path, capsys):
+        assert _crawl(tmp_path) == 0
+        archive = tmp_path / "arch"
+        src = str(Path(archivelab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from archivelab.cli import run; run()",
+             "replay", "--archive", str(archive), "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            announced = re.search(r"http://127\.0\.0\.1:(\d+)/", proc.stdout.readline())
+            assert announced is not None
+            port = int(announced.group(1))
+            assert port != 0
+            with ArchiveStore.open(archive) as store:
+                record = next(store.iter_records())
+                expected = select_memento(
+                    store, record.uri, record.datetime, ReplayMode.baseline()
+                )
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            conn.request("GET", f"/web/{record.timestamp14}/{record.uri}")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.read() == expected.body
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5)
+            proc.stdout.close()
 
 
 class TestConfigFile:

@@ -186,7 +186,9 @@ class TestTcpListener:
     def test_parity_with_in_process_handler(self, twitter_site):
         server = make_origin_server(twitter_site, 0)
         port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         try:
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)

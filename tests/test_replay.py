@@ -145,6 +145,51 @@ def _random_case(rng: random.Random):
     return store, uri, target, mode, ctx
 
 
+LARGE_URIS = ("https://big.example/", "https://big.example/fragment/0/0")
+# Keys without a Vary header are empty under this store config.
+LARGE_STORE_CFG = VariantConfig(implied_vary=())
+LARGE_QUERY_CFGS = (
+    LARGE_STORE_CFG,
+    CFG,
+    VariantConfig(content_cookie_names=frozenset({"lang", "_sess"})),
+)
+
+
+def _large_batch(rng: random.Random, count: int, span_s: int) -> list:
+    """Captures of two URIs over `span_s` seconds; several share a second.
+    Empty keys match every request, so they are the rarest kind."""
+    return [
+        make_record(
+            rng.choice(LARGE_URIS),
+            START + timedelta(seconds=rng.randrange(span_s)),
+            lang=rng.choice(["en", "kn", "ur"]),
+            request_cookie=rng.choice([None, "lang=kn", "lang=en", "lang=ur; _sess=x"]),
+            accept_language=rng.choice([None, "kn", "en"]),
+            vary=rng.choices([None, "Cookie", "*", "Cookie, Accept-Language"], [1, 3, 4, 3])[0],
+            cfg=LARGE_STORE_CFG,
+        )
+        for _ in range(count)
+    ]
+
+
+def _large_query(rng: random.Random, span_s: int):
+    pairs = [("host", "big.example")]
+    if rng.random() < 0.8:
+        cookie = rng.choice(["lang=kn", "lang=en", "lang=ur; _sess=x", "_sess=y"])
+        pairs.append(("cookie", cookie))
+    if rng.random() < 0.5:
+        pairs.append(("accept-language", rng.choice(["kn", "en"])))
+    offset = timedelta(
+        seconds=rng.randrange(-60, span_s + 60), microseconds=rng.choice([0, 500_000])
+    )
+    return (
+        rng.choice(LARGE_URIS),
+        START + offset,
+        RequestContext(Headers(pairs)),
+        rng.choice(LARGE_QUERY_CFGS),
+    )
+
+
 class TestSelectionOracle:
     def test_matches_brute_force_on_random_cases(self):
         rng = random.Random(4242)
@@ -155,6 +200,45 @@ class TestSelectionOracle:
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got.id == expected.id
+
+    def test_matches_brute_force_on_large_stores(self, tmp_path, monkeypatch):
+        # Thousands of captures per URI, in memory and reopened from disk, with
+        # appends after the reopen. Durability is not under test here.
+        monkeypatch.setattr("archivelab.store.os.fsync", lambda fd: None)
+        rng = random.Random(9091)
+        span_s = 1500
+        memory = ArchiveStore.in_memory(LARGE_STORE_CFG)
+        with ArchiveStore.create(tmp_path / "large", LARGE_STORE_CFG) as disk:
+            for record in _large_batch(rng, 4000, span_s):
+                memory.append(record)
+                disk.append(record)
+        with ArchiveStore.open(tmp_path / "large") as reopened:
+            for record in _large_batch(rng, 300, span_s):
+                memory.append(record)
+                reopened.append(record)
+            assert list(reopened.iter_records()) == list(memory.iter_records())
+            assert min(len(memory.lookup(uri)) for uri in LARGE_URIS) >= 2000
+            modes = (
+                ReplayMode.baseline(),
+                ReplayMode.variant_aware(),
+                ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
+            )
+            matched_dimensions = set()
+            for _ in range(30):
+                uri, target, ctx, cfg = _large_query(rng, span_s)
+                for mode in modes:
+                    expected = brute_force_select(memory, uri, target, mode, ctx, cfg)
+                    for store in (memory, reopened):
+                        got = select_memento(store, uri, target, mode, ctx, cfg)
+                        assert (got is None) == (expected is None)
+                        if got is not None:
+                            assert got.id == expected.id
+                    if mode.fallback == FALLBACK_NOT_FOUND and expected is not None:
+                        matched_dimensions.add(tuple(d for d, _ in expected.variant_key.pairs))
+            # every kind of key was a match at least once: empty, Vary: *,
+            # Cookie alone, and Cookie with Accept-Language
+            assert {(), ("cookie",), ("accept-language", "cookie")} <= matched_dimensions
+            assert any("host" in dims for dims in matched_dimensions)
 
     def test_variant_results_always_match_context(self):
         rng = random.Random(515)
@@ -250,7 +334,9 @@ class TestComposite:
 class TestHttpService:
     def _serve(self, store, mode):
         server = make_replay_server(store, mode, 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         return server, server.server_address[1]
 
@@ -300,7 +386,9 @@ class TestHttpService:
             "# Netscape HTTP Cookie File\na.example\tFALSE\t/\tFALSE\t0\tlang\ten\n"
         )
         server = make_replay_server(store, ReplayMode.variant_aware(), 0, base_jar=jar)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         try:
             port = server.server_address[1]
@@ -322,6 +410,19 @@ class TestHttpService:
             assert response.status == 400
             response, _ = self._get(port, f"/web/{START.strftime('%Y%m%d%H%M%S')}/notauri")
             assert response.status == 400
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_failed_fetch_capture_is_504_not_200(self):
+        store = ArchiveStore.in_memory(CFG)
+        store.append(make_record(URI, START, lang=None, status=0))
+        server, port = self._serve(store, ReplayMode.baseline())
+        try:
+            response, body = self._get(port, f"/web/{START.strftime('%Y%m%d%H%M%S')}/{URI}")
+            assert response.status == 504
+            assert response.headers["X-Archive-Error"] == "capture-fetch-failed"
+            assert body == b""
         finally:
             server.shutdown()
             server.server_close()
