@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
-from .http_core import CanonicalUri, Cookie, ensure_utc
+from .http_core import CanonicalUri, Cookie, domain_match, ensure_utc
 
 __all__ = ["JarPolicy", "CookieJar", "import_netscape", "NETSCAPE_HEADER"]
 
@@ -50,7 +50,7 @@ class JarPolicy:
 def _domain_match(cookie: Cookie, host: str) -> bool:
     if cookie.host_only:
         return host == cookie.domain
-    return host == cookie.domain or host.endswith("." + cookie.domain)
+    return domain_match(host, cookie.domain)
 
 
 def _path_match(cookie_path: str, request_path: str) -> bool:

@@ -102,9 +102,16 @@ _SRC_RE = re.compile(r'\bsrc="([^"]*)"', re.IGNORECASE)
 _REL_ALTERNATE_RE = re.compile(r'\brel="alternate"', re.IGNORECASE)
 
 
-def _scan_refs(body: bytes, base: CanonicalUri, tags: frozenset[str]) -> list[CanonicalUri]:
+def _scan_refs(
+    body: bytes,
+    base: CanonicalUri,
+    tags: frozenset[str],
+    resolved: dict[str, CanonicalUri | None] | None = None,
+) -> list[CanonicalUri]:
     text = body.decode("utf-8", errors="replace")
     base_str = str(base)
+    if resolved is None:
+        resolved = {}
     found: list[CanonicalUri] = []
     for match in _TAG_RE.finditer(text):
         tag = match.group(1).lower()
@@ -122,17 +129,35 @@ def _scan_refs(body: bytes, base: CanonicalUri, tags: frozenset[str]) -> list[Ca
         if attr is None:
             continue
         try:
-            found.append(canonicalize(urljoin(base_str, attr.group(1))))
-        except (UriError, ValueError):
+            absolute = urljoin(base_str, attr.group(1))
+        except ValueError:
             continue
+        if absolute in resolved:
+            link = resolved[absolute]
+        else:
+            try:
+                link = canonicalize(absolute)
+            except (UriError, ValueError):
+                link = None
+            resolved[absolute] = link
+        if link is not None:
+            found.append(link)
     return found
 
 
-def extract_links(body: bytes, base: CanonicalUri) -> list[CanonicalUri]:
+def extract_links(
+    body: bytes,
+    base: CanonicalUri,
+    resolved: dict[str, CanonicalUri | None] | None = None,
+) -> list[CanonicalUri]:
     """Outlinks of a page in document order: alternate links, anchors, and
     fragment references, resolved against `base` and canonicalized.
-    Duplicates are preserved; the frontier dedups."""
-    return _scan_refs(body, base, frozenset({"link", "a", "iframe"}))
+    Duplicates are preserved; the frontier dedups.
+
+    `resolved` memoizes canonicalization by absolute (joined) URI string,
+    None marking a rejected link; pass one dict to share it across pages.
+    """
+    return _scan_refs(body, base, frozenset({"link", "a", "iframe"}), resolved)
 
 
 def extract_fragment_refs(body: bytes, base: CanonicalUri) -> list[CanonicalUri]:
@@ -206,6 +231,11 @@ def crawl(
     for uri in seed_uris:
         frontier.add(uri)
 
+    # Memos for this crawl only: the link list of each page already scanned,
+    # keyed by (uri, body), and the canonical form of each absolute link.
+    # Root revisits mostly return a body scanned before.
+    page_links: dict[tuple[CanonicalUri, bytes], list[CanonicalUri]] = {}
+    resolved: dict[str, CanonicalUri | None] = {}
     records: list[ArchiveRecord] = []
     dequeues = 0
     while frontier and len(records) < policy.max_pages:
@@ -216,7 +246,11 @@ def crawl(
         record = _fetch_one(fetch, uri, jar, now, cfg)
         records.append(record)
         if record.response_status == 200:
-            for link in extract_links(record.body, uri):
+            page = (uri, record.body)
+            links = page_links.get(page)
+            if links is None:
+                links = page_links[page] = extract_links(record.body, uri, resolved)
+            for link in links:
                 frontier.add(link)
         if revisit and dequeues % revisit == 0:
             frontier.add(root)

@@ -24,7 +24,7 @@ from .origin import SiteConfig, fetch_fn
 from .replay import ReplayMode, RequestContext, reconstruct_composite
 from .store import ArchiveStore, VariantConfig
 
-__all__ = ["DemoPlan", "DemoResult", "run_demo"]
+__all__ = ["DemoPlan", "DemoResult", "run_demo", "scenario_schedule"]
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +74,10 @@ def _policy_label(index: int, policy: JarPolicy) -> str:
     return f"{index:02d}-fixed-ttl{int(policy.max_ttl.total_seconds())}s"
 
 
-def _scenario_schedule(site: SiteConfig, root_lang: str, part_langs: list[str]) -> list[str]:
+def scenario_schedule(site: SiteConfig, root_lang: str, part_langs: list[str]) -> list[str]:
+    """Capture order that makes baseline replay assemble a mixed-language
+    composite: root in root_lang, each fragment's nearest capture in a
+    different language, with root_lang fragment captures further away."""
     base = site.base() + "/"
     schedule = [f"{base}?lang={root_lang}", base]
     fragments = [
@@ -144,7 +147,7 @@ def run_demo(plan: DemoPlan) -> DemoResult:
         scenario_dir = out_dir / "archive-scenario"
         created.append(scenario_dir)
         scenario_store = ArchiveStore.create(scenario_dir, cfg)
-        schedule = _scenario_schedule(plan.site, root_lang, part_langs)
+        schedule = scenario_schedule(plan.site, root_lang, part_langs)
         records = scripted_crawl(
             schedule, fetch, JarPolicy(max_ttl=None), _BASE_START, variant_config=cfg
         )

@@ -22,6 +22,7 @@ __all__ = [
     "CanonicalUri",
     "VarySpec",
     "canonicalize",
+    "domain_match",
     "parse_set_cookie",
     "parse_cookie_header",
     "format_cookie_header",
@@ -234,6 +235,8 @@ class CanonicalUri:
         return [v for k, v in self.query if k == key]
 
 
+_SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.\-]*):")
+_AUTHORITY_RE = re.compile(r"[^/?#]*")
 _HOST_RE = re.compile(r"^[a-z0-9._\-]+$")
 
 
@@ -262,7 +265,7 @@ def canonicalize(uri: str) -> CanonicalUri:
     input. Query parameters are never dropped; in particular `lang` survives
     because it determines content on the simulated origin.
     """
-    scheme_match = re.match(r"^([A-Za-z][A-Za-z0-9+.\-]*):", uri)
+    scheme_match = _SCHEME_RE.match(uri)
     if not scheme_match:
         raise UriError("expected an absolute URI with a scheme", 0)
     scheme = scheme_match.group(1).lower()
@@ -271,7 +274,7 @@ def canonicalize(uri: str) -> CanonicalUri:
         raise UriError("expected '//' before authority", pos)
     pos += 2
 
-    authority_match = re.compile(r"[^/?#]*").match(uri, pos)
+    authority_match = _AUTHORITY_RE.match(uri, pos)
     authority = authority_match.group(0)
     if "@" in authority:
         raise UriError("userinfo in authority is not supported", pos)
@@ -327,6 +330,7 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 _MAX_AGE_RE = re.compile(r"^-?\d+$")
+_IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
 
 
 def parse_cookie_date(value: str) -> datetime | None:
@@ -348,6 +352,15 @@ def parse_cookie_date(value: str) -> datetime | None:
         return None
 
 
+def domain_match(host: str, domain: str) -> bool:
+    """RFC 6265 §5.1.3: `host` domain-matches `domain` when the two are
+    equal, or when `domain` is a suffix of `host` at a dot boundary and
+    `host` is a host name, not an IP address. Both are lowercase."""
+    if host == domain:
+        return True
+    return host.endswith("." + domain) and not _IPV4_RE.match(host)
+
+
 def _default_cookie_path(request_path: str) -> str:
     # RFC 6265 default-path: directory of the request path.
     if not request_path.startswith("/") or request_path == "/":
@@ -360,9 +373,10 @@ def parse_set_cookie(
 ) -> Cookie | None:
     """Parse one Set-Cookie value into a Cookie, or None when rejected.
 
-    Rejection (empty name, missing '=' in the first segment) is not an
-    error: bad cookies are dropped, not raised. Domain defaults to the
-    request host (host-only), path to the request path's directory. Max-Age
+    Rejection (empty name, missing '=' in the first segment, a Domain
+    attribute the request host does not domain-match, RFC 6265 §5.3 step 6)
+    is not an error: bad cookies are dropped, not raised. Domain defaults to
+    the request host (host-only), path to the request path's directory. Max-Age
     takes precedence over Expires; already-elapsed expirations are clamped
     to `now` so expiry never precedes creation.
     """
@@ -408,6 +422,9 @@ def parse_set_cookie(
             http_only = True
         elif attr == "samesite" and attr_value:
             same_site = attr_value.lower()
+
+    if not host_only and not domain_match(request_uri.host, domain):
+        return None
 
     if max_age is not None:
         expires_at = now + timedelta(seconds=max_age)

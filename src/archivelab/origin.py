@@ -195,8 +195,12 @@ def negotiate_language(request: HttpRequest, site: SiteConfig) -> str:
     highest-q supported Accept-Language tag, then the site default.
     Unsupported values at any stage fall through to the next source.
     """
-    uri = canonicalize(request.uri)
-    for source in (_query_language(uri, site), _cookie_language(request, site)):
+    return _negotiate(request, _query_language(canonicalize(request.uri), site), site)
+
+
+def _negotiate(request: HttpRequest, query_lang: str | None, site: SiteConfig) -> str:
+    """negotiate_language, given the request URI's `lang` query result."""
+    for source in (query_lang, _cookie_language(request, site)):
         if source is not None:
             return source
     negotiated = _accept_language(request, site)
@@ -283,7 +287,8 @@ def handle(request: HttpRequest, site: SiteConfig) -> HttpResponse:
             _NOT_FOUND_BODY,
         )
 
-    lang = negotiate_language(request, site)
+    query_lang = _query_language(uri, site)
+    lang = _negotiate(request, query_lang, site)
     if page.kind == TIMELINE:
         body = _render_timeline(page, site, lang)
     else:
@@ -293,7 +298,7 @@ def handle(request: HttpRequest, site: SiteConfig) -> HttpResponse:
         ("content-type", "text/html; charset=utf-8"),
         ("content-language", lang),
     ]
-    if _query_language(uri, site) is not None:
+    if query_lang is not None:
         header_pairs.append(("set-cookie", f"lang={lang}; Path=/"))
     if site.emit_vary:
         header_pairs.append(("vary", "Cookie, Accept-Language"))

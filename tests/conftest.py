@@ -9,6 +9,7 @@ import pytest
 
 from archivelab.cookiejar import JarPolicy
 from archivelab.crawler import scripted_crawl
+from archivelab.demo import scenario_schedule
 from archivelab.http_core import Headers, canonicalize
 from archivelab.origin import SiteConfig, fetch_fn
 from archivelab.store import (
@@ -78,25 +79,11 @@ def make_record(
     )
 
 
-def defacement_schedule(site: SiteConfig, root_lang: str, part_langs: list[str]) -> list[str]:
-    """Capture order that makes baseline replay assemble a mixed-language
-    composite: root in root_lang, each fragment's nearest capture in a
-    different language, with root_lang fragment captures further away."""
-    base = site.base() + "/"
-    fragments = [site.base() + site.fragment_path(0, j) for j in range(len(part_langs))]
-    schedule = [f"{base}?lang={root_lang}", base]
-    for lang, fragment in zip(part_langs, fragments):
-        schedule += [f"{base}?lang={lang}", fragment]
-    schedule.append(f"{base}?lang={root_lang}")
-    schedule.extend(fragments)
-    return schedule
-
-
 def build_defacement_store(site: SiteConfig):
     """Scripted scenario store; returns (store, root uri, root capture time)."""
     cfg = VariantConfig()
     records = scripted_crawl(
-        defacement_schedule(site, "pt", ["ur", "en"]),
+        scenario_schedule(site, "pt", ["ur", "en"]),
         fetch_fn(site),
         JarPolicy(max_ttl=None),
         START,

@@ -22,6 +22,7 @@ from archivelab.analyzer import (
 )
 from archivelab.cookiejar import CookieJar, JarPolicy, import_netscape
 from archivelab.crawler import CrawlPolicy, crawl, scripted_crawl
+from archivelab.demo import scenario_schedule
 from archivelab.http_core import Headers, HttpRequest, canonicalize, parse_set_cookie
 from archivelab.origin import SiteConfig, fetch_fn, handle
 from archivelab.replay import (
@@ -32,7 +33,7 @@ from archivelab.replay import (
     select_memento,
 )
 from archivelab.store import ArchiveStore, VariantConfig, variant_matches
-from conftest import START, defacement_schedule, make_record
+from conftest import START, make_record
 
 SITE = SiteConfig(host="twitter.com")
 FETCH = fetch_fn(SITE)
@@ -137,7 +138,7 @@ def test_criterion_4_violation_round_trip():
     variant-aware replay with the root language cookie is consistent. Budget 2s."""
     with criterion(4, "defacement appears in baseline, repaired variant-aware", 2.0):
         records = scripted_crawl(
-            defacement_schedule(SITE, "pt", ["ur", "en"]),
+            scenario_schedule(SITE, "pt", ["ur", "en"]),
             FETCH,
             JarPolicy(max_ttl=None),
             START,

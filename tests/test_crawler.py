@@ -7,18 +7,21 @@ from datetime import timedelta
 
 import pytest
 
+from archivelab import crawler
 from archivelab.analyzer import language_of
-from archivelab.cookiejar import JarPolicy
+from archivelab.cookiejar import CookieJar, JarPolicy
 from archivelab.crawler import (
     CrawlPolicy,
     Frontier,
+    _fetch_one,
     crawl,
     extract_fragment_refs,
     extract_links,
     scripted_crawl,
 )
-from archivelab.http_core import canonicalize
-from archivelab.origin import handle
+from archivelab.http_core import Headers, HttpResponse, canonicalize
+from archivelab.origin import SiteConfig, fetch_fn, handle
+from archivelab.store import VariantConfig
 from conftest import START
 
 ROOT = canonicalize("https://twitter.com/")
@@ -151,6 +154,79 @@ class TestCrawl:
             CrawlPolicy(max_pages=0)
         with pytest.raises(ValueError):
             CrawlPolicy(clock_step=timedelta(0))
+
+
+def _reference_crawl(seed, fetch, policy, start):
+    """The crawl loop with no memo: every 200 page is scanned afresh."""
+    jar = CookieJar(policy.jar_policy)
+    root = canonicalize(seed)
+    revisit = policy.revisit_root_every or 0
+    frontier = Frontier(exempt={root} if revisit else ())
+    frontier.add(root)
+    records = []
+    while frontier and len(records) < policy.max_pages:
+        now = start + len(records) * policy.clock_step
+        jar.prune(now)
+        uri = frontier.pop()
+        record = _fetch_one(fetch, uri, jar, now, VariantConfig())
+        records.append(record)
+        if record.response_status == 200:
+            for link in extract_links(record.body, uri):
+                frontier.add(link)
+        if revisit and len(records) % revisit == 0:
+            frontier.add(root)
+    return records
+
+
+class TestCrawlMemo:
+    @pytest.mark.parametrize("revisit", [None, 3, 5], ids=["no-revisit", "revisit-3", "revisit-5"])
+    @pytest.mark.parametrize(
+        "max_ttl", [None, timedelta(0), timedelta(seconds=30)], ids=["ttl-none", "ttl-0", "ttl-30s"]
+    )
+    def test_records_equal_unmemoized_reference(self, max_ttl, revisit):
+        # 15 timeline pages give 750 distinct URIs, so even without root
+        # revisits the crawl runs to max_pages
+        site = SiteConfig(host="twitter.com", page_count=15)
+        policy = CrawlPolicy(
+            jar_policy=JarPolicy(max_ttl=max_ttl), max_pages=700, revisit_root_every=revisit
+        )
+        seed = "https://twitter.com/"
+        expected = _reference_crawl(seed, fetch_fn(site), policy, START)
+        assert len(expected) == 700
+        assert crawl([seed], fetch_fn(site), policy, START) == expected
+
+    def test_identical_body_resolves_against_each_pages_own_base(self):
+        body = b'<a href="../b/">b</a><a href="leaf">leaf</a>'
+
+        def fetch(request):
+            if request.uri.endswith("/leaf"):
+                return HttpResponse(200, Headers(), b"no links")
+            return HttpResponse(200, Headers(), body)
+
+        records = crawl(["https://x.example/a/"], fetch, CrawlPolicy(max_pages=10), START)
+        assert [str(r.uri) for r in records] == [
+            "https://x.example/a/",
+            "https://x.example/b/",
+            "https://x.example/a/leaf",
+            "https://x.example/b/leaf",
+        ]
+
+    def test_each_distinct_page_scanned_once(self, twitter_fetch, monkeypatch):
+        scanned = Counter()
+
+        def counting(body, base, *args):
+            scanned[(base, body)] += 1
+            return extract_links(body, base, *args)
+
+        monkeypatch.setattr(crawler, "extract_links", counting)
+        policy = CrawlPolicy(
+            jar_policy=JarPolicy(max_ttl=None), max_pages=300, revisit_root_every=5
+        )
+        records = crawl(["https://twitter.com/"], twitter_fetch, policy, START)
+        pages = [(r.uri, r.body) for r in records if r.response_status == 200]
+        assert set(scanned.values()) == {1}
+        assert set(scanned) == set(pages)
+        assert len(scanned) < len(pages)  # root revisits repeat bodies
 
 
 class TestBiasMechanism:

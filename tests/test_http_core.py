@@ -96,13 +96,33 @@ class TestParseSetCookie:
     def test_attribute_names_case_insensitive(self):
         cookie = parse_set_cookie(
             "a=1; dOmAiN=.Example.COM; PATH=/sub; SECURE; HttpOnly",
-            TWITTER_LANG_AR,
+            canonicalize("https://www.example.com/"),
             NOW,
         )
         assert cookie.domain == "example.com"
         assert cookie.host_only is False
         assert cookie.path == "/sub"
         assert cookie.secure and cookie.http_only
+
+    @pytest.mark.parametrize(
+        "request_uri, domain",
+        [
+            ("https://timeline.example/", "evil.com"),
+            ("https://timeline.example/", "line.example"),  # suffix, not at a dot
+            ("https://timeline.example/", "sub.timeline.example"),
+            ("https://10.0.0.1/", "0.0.1"),  # IP addresses match only exactly
+        ],
+    )
+    def test_domain_not_matching_request_host_rejected(self, request_uri, domain):
+        # RFC 6265 section 5.3 step 6: ignore the cookie entirely
+        assert parse_set_cookie(f"lang=kn; Domain={domain}", canonicalize(request_uri), NOW) is None
+
+    def test_parent_domain_from_subdomain_accepted(self):
+        uri = canonicalize("https://mobile.twitter.com/")
+        cookie = parse_set_cookie("lang=kn; Domain=.twitter.com", uri, NOW)
+        assert (cookie.domain, cookie.host_only) == ("twitter.com", False)
+        same = parse_set_cookie("lang=kn; Domain=MOBILE.twitter.com", uri, NOW)
+        assert (same.domain, same.host_only) == ("mobile.twitter.com", False)
 
     def test_default_path_is_request_directory(self):
         uri = canonicalize("https://example.com/a/b/page")
