@@ -88,6 +88,15 @@ class LanguageDistribution:
             return None
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
+    def to_json(self) -> dict:
+        return {
+            "counts": dict(self.counts),
+            "fractions": self.fractions(),
+            "modal": self.modal(),
+            "entropy_bits": shannon_entropy(self.counts),
+            "total": self.total,
+        }
+
 
 def distribution(store: ArchiveStore, uri: CanonicalUri | str) -> LanguageDistribution:
     """Language distribution over all captures of one URI."""
@@ -182,19 +191,10 @@ class BiasReport:
     distribution_b: LanguageDistribution
 
     def to_json(self) -> dict:
-        def side(dist: LanguageDistribution) -> dict:
-            return {
-                "counts": dict(dist.counts),
-                "fractions": dist.fractions(),
-                "modal": dist.modal(),
-                "entropy_bits": shannon_entropy(dist.counts),
-                "total": dist.total,
-            }
-
         return {
             "uri": self.uri,
-            self.label_a: side(self.distribution_a),
-            self.label_b: side(self.distribution_b),
+            self.label_a: self.distribution_a.to_json(),
+            self.label_b: self.distribution_b.to_json(),
             "entropy_difference_bits": shannon_entropy(self.distribution_a.counts)
             - shannon_entropy(self.distribution_b.counts),
         }

@@ -182,17 +182,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             dist = distribution(store, uri)
             if fmt == "json":
-                output = json.dumps(
-                    {
-                        "uri": dist.uri,
-                        "total": dist.total,
-                        "counts": dict(dist.counts),
-                        "fractions": dist.fractions(),
-                        "modal": dist.modal(),
-                        "entropy_bits": shannon_entropy(dist.counts),
-                    },
-                    indent=2,
-                )
+                output = json.dumps({"uri": dist.uri, **dist.to_json()}, indent=2)
             else:
                 lines = [
                     f"language distribution of {dist.uri}",

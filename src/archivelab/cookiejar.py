@@ -67,8 +67,6 @@ class CookieJar:
     def __init__(self, policy: JarPolicy | None = None):
         self.policy = policy if policy is not None else JarPolicy()
         self._entries: dict[tuple[str, str, str], Cookie] = {}
-        self._sequence: dict[tuple[str, str, str], int] = {}
-        self._counter = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -93,17 +91,14 @@ class CookieJar:
             expires_at = cap if expires_at is None else min(expires_at, cap)
         if expires_at is not None and expires_at <= now:
             self._entries.pop(key, None)
-            self._sequence.pop(key, None)
             return
         previous = self._entries.get(key)
         created_at = previous.created_at if previous is not None else cookie.created_at
-        if key not in self._sequence:
-            self._sequence[key] = self._counter
-            self._counter += 1
         self._entries[key] = replace(cookie, expires_at=expires_at, created_at=created_at)
 
     def cookies_for(self, uri: CanonicalUri, now: datetime) -> list[tuple[str, str]]:
-        """Unexpired cookies scoped to `uri`, longest path first, then oldest.
+        """Unexpired cookies scoped to `uri`, longest path first, then oldest,
+        then first stored (the sort is stable over insertion order).
 
         At most one entry per name is returned (the most specific match
         wins), so the resulting Cookie header never repeats a name.
@@ -116,13 +111,7 @@ class CookieJar:
             and _domain_match(cookie, uri.host)
             and _path_match(cookie.path, uri.path)
         ]
-        matching.sort(
-            key=lambda c: (
-                -len(c.path),
-                c.created_at,
-                self._sequence[(c.name, c.domain, c.path)],
-            )
-        )
+        matching.sort(key=lambda c: (-len(c.path), c.created_at))
         pairs: list[tuple[str, str]] = []
         seen_names: set[str] = set()
         for cookie in matching:
@@ -137,13 +126,11 @@ class CookieJar:
         now = ensure_utc(now)
         for key in [k for k, c in self._entries.items() if c.expired(now)]:
             del self._entries[key]
-            del self._sequence[key]
 
     def end_session(self) -> None:
         """Discard all cookies if the policy is session-scoped."""
         if self.policy.session_scoped:
             self._entries.clear()
-            self._sequence.clear()
 
     def export_netscape(self) -> str:
         """Serialize the jar as a Netscape cookie file (header always present)."""
@@ -215,9 +202,5 @@ def import_netscape(text: str, policy: JarPolicy | None = None) -> CookieJar:
         if cookie is None:
             logger.warning("cookie file line %d malformed, skipped: %r", lineno, line)
             continue
-        key = (cookie.name, cookie.domain, cookie.path)
-        jar._entries[key] = cookie
-        if key not in jar._sequence:
-            jar._sequence[key] = jar._counter
-            jar._counter += 1
+        jar._entries[(cookie.name, cookie.domain, cookie.path)] = cookie
     return jar

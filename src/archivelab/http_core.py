@@ -320,32 +320,49 @@ def canonicalize(uri: str) -> CanonicalUri:
 
 # --- cookie parsing ---------------------------------------------------------
 
-_COOKIE_DATE_RE = re.compile(
-    r"^(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), "
-    r"(\d{2}) (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) (\d{4}) "
-    r"(\d{2}):(\d{2}):(\d{2}) GMT$"
-)
+# RFC 6265 section 5.1.1: a cookie date is a list of tokens separated by
+# any run of delimiter octets; each token may carry trailing junk after a
+# non-digit.
+_DATE_TOKEN_RE = re.compile(r"[^\x09\x20-\x2f\x3b-\x40\x5b-\x60\x7b-\x7e]+")
+_DATE_TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\D|$)", re.ASCII)
+_DATE_DAY_RE = re.compile(r"(\d{1,2})(?:\D|$)", re.ASCII)
+_DATE_YEAR_RE = re.compile(r"(\d{2,4})(?:\D|$)", re.ASCII)
 _MONTHS = {
-    "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
-    "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
+    "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
+    "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 _MAX_AGE_RE = re.compile(r"^-?\d+$")
 _IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
 
 
 def parse_cookie_date(value: str) -> datetime | None:
-    """Parse an RFC-1123-shaped cookie date; any other shape yields None."""
-    match = _COOKIE_DATE_RE.match(value.strip())
-    if not match:
+    """Parse a cookie date by the RFC 6265 section 5.1.1 algorithm, or None.
+
+    Tokens are taken in order; the first that fits each of time, day of
+    month, month and year (in that order of trial) supplies it. Two-digit
+    years 70-99 mean 19xx and 00-69 mean 20xx. A missing part, a day outside
+    1-31, a year before 1601, a time field out of range, or a day the month
+    does not have rejects the date.
+    """
+    time = day = month = year = None
+    for token in _DATE_TOKEN_RE.findall(value):
+        if time is None and (match := _DATE_TIME_RE.match(token)):
+            time = tuple(int(g) for g in match.groups())
+        elif day is None and (match := _DATE_DAY_RE.match(token)):
+            day = int(match.group(1))
+        elif month is None and token[:3].lower() in _MONTHS:
+            month = _MONTHS[token[:3].lower()]
+        elif year is None and (match := _DATE_YEAR_RE.match(token)):
+            year = int(match.group(1))
+    if time is None or day is None or month is None or year is None:
         return None
-    day, month, year, hour, minute, second = (
-        int(match.group(1)),
-        _MONTHS[match.group(2)],
-        int(match.group(3)),
-        int(match.group(4)),
-        int(match.group(5)),
-        int(match.group(6)),
-    )
+    if 70 <= year <= 99:
+        year += 1900
+    elif year <= 69:
+        year += 2000
+    hour, minute, second = time
+    if not 1 <= day <= 31 or year < 1601 or hour > 23 or minute > 59 or second > 59:
+        return None
     try:
         return datetime(year, month, day, hour, minute, second, tzinfo=UTC)
     except ValueError:

@@ -11,7 +11,8 @@ On disk an archive is a directory of three files:
     One line per capture: ``<canonical-uri> <14-digit-timestamp> <JSON>``
     where the JSON object holds ``id``, ``status``, and the variant key as a
     ``[[dimension, value], ...]`` list. Lines sort bytewise into
-    (URI, datetime) order because canonical URIs contain no spaces.
+    (URI, datetime) order because canonical URIs contain no spaces. Only
+    `verify` reads it back; it is written for external readers.
 
 ``meta.json``
     Format version plus the VariantConfig the captures were keyed with, so
@@ -20,9 +21,11 @@ On disk an archive is a directory of three files:
 Variant keys are computed at ingest time from the request/response header
 pair and stored; lookups never recompute them.
 
-In memory each URI's captures are indexed twice: one list of all entries in
-(datetime, id) order, and the same entries grouped by dimension tuple, then
-by variant key, each group in (datetime, id) order. `nearest` bisects them.
+`open` builds the in-memory index from the frames of `records.dat` alone; a
+repeated frame id is a `StoreError`. Each URI's captures are indexed twice:
+one list of all entries in (datetime, id) order, and the same entries grouped
+by dimension tuple, then by variant key, each group in (datetime, id) order.
+`nearest` bisects them.
 """
 
 from __future__ import annotations
@@ -294,7 +297,7 @@ def _record_from_frame(header: dict, body: bytes) -> ArchiveRecord:
     )
 
 
-def _index_line(uri: str, record: ArchiveRecord) -> str:
+def _index_line(record: ArchiveRecord) -> str:
     blob = json.dumps(
         {
             "id": record.id,
@@ -304,7 +307,16 @@ def _index_line(uri: str, record: ArchiveRecord) -> str:
         separators=(",", ":"),
         sort_keys=True,
     )
-    return f"{uri} {record.timestamp14} {blob}"
+    return f"{record.uri} {record.timestamp14} {blob}"
+
+
+def _durable_write(fh, data: bytes, failure: str) -> None:
+    try:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    except OSError as exc:
+        raise StoreError(f"{failure}: {exc}") from exc
 
 
 class ArchiveStore:
@@ -312,7 +324,7 @@ class ArchiveStore:
 
     Disk-backed stores flush and fsync every append, so a record is durable
     before `append` returns. At desk scale all records are also kept in
-    memory; `open` reloads everything from disk.
+    memory; `open` reloads everything from `records.dat`.
     """
 
     def __init__(self, directory: Path | None, variant_config: VariantConfig):
@@ -362,14 +374,13 @@ class ArchiveStore:
             raise StoreError(f"unsupported archive version: {meta.get('version')}")
         store = cls(directory, VariantConfig.from_json(meta["variant_config"]))
         store._load_records()
-        store._load_index()
         store._open_files()
         return store
 
     def _open_files(self) -> None:
         assert self._directory is not None
         self._records_file = open(self._directory / RECORDS_NAME, "ab")
-        self._index_file = open(self._directory / INDEX_NAME, "a", encoding="utf-8")
+        self._index_file = open(self._directory / INDEX_NAME, "ab")
 
     def _load_records(self) -> None:
         assert self._directory is not None
@@ -389,33 +400,7 @@ class ArchiveStore:
                     record = _record_from_frame(header, body)
                 except (KeyError, ValueError) as exc:
                     raise StoreError(f"corrupt record frame: {exc}") from exc
-                self._records[record.id] = record
-        if self._records:
-            self._next_id = max(self._records) + 1
-
-    def _load_index(self) -> None:
-        assert self._directory is not None
-        path = self._directory / INDEX_NAME
-        if not path.exists():
-            raise StoreError(f"missing {INDEX_NAME} in {self._directory}")
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ", 2)
-                if len(parts) != 3:
-                    raise StoreError(f"index line {lineno} malformed: {line!r}")
-                try:
-                    blob = json.loads(parts[2])
-                except json.JSONDecodeError as exc:
-                    raise StoreError(f"index line {lineno} malformed: {exc}") from exc
-                entry = IndexEntry(
-                    parse_timestamp14(parts[1]),
-                    VariantKey.from_json(blob["variant"]),
-                    int(blob["id"]),
-                )
-                self._by_uri[parts[0]].add(entry)
+                self._register(record)
 
     # -- write path -----------------------------------------------------------
 
@@ -424,29 +409,31 @@ class ArchiveStore:
 
         The record's variant key must already be derived. Duplicate
         (uri, datetime, variant) captures are allowed: append-only means
-        append-only.
+        append-only. The capture is registered once its frame is durable, so
+        a failed index-row write still raises but never frees the id.
         """
-        assigned = record.id if record.id is not None else self._next_id
         if record.id is None:
-            record = replace(record, id=assigned)
-        if assigned in self._records:
-            raise StoreError(f"record id {assigned} already present")
-        uri = str(record.uri)
+            record = replace(record, id=self._next_id)
+        if record.id in self._records:
+            raise StoreError(f"record id {record.id} already present")
         if self._records_file is not None:
-            try:
-                frame = _frame_header(record) + b"\n" + record.body + b"\n"
-                self._records_file.write(frame)
-                self._records_file.flush()
-                os.fsync(self._records_file.fileno())
-                self._index_file.write(_index_line(uri, record) + "\n")
-                self._index_file.flush()
-                os.fsync(self._index_file.fileno())
-            except OSError as exc:
-                raise StoreError(f"append of record {assigned} failed: {exc}") from exc
-        self._records[assigned] = record
-        self._by_uri[uri].add(IndexEntry(record.datetime, record.variant_key, assigned))
-        self._next_id = max(self._next_id, assigned + 1)
-        return assigned
+            frame = _frame_header(record) + b"\n" + record.body + b"\n"
+            _durable_write(self._records_file, frame, f"append of record {record.id} failed")
+        self._register(record)
+        if self._index_file is not None:
+            row = (_index_line(record) + "\n").encode("utf-8")
+            failure = f"frame of record {record.id} is stored but its index row is not"
+            _durable_write(self._index_file, row, failure)
+        return record.id
+
+    def _register(self, record: ArchiveRecord) -> None:
+        if record.id in self._records:
+            raise StoreError(f"record id {record.id} already present")
+        self._records[record.id] = record
+        self._by_uri[str(record.uri)].add(
+            IndexEntry(record.datetime, record.variant_key, record.id)
+        )
+        self._next_id = max(self._next_id, record.id + 1)
 
     # -- read path ------------------------------------------------------------
 
@@ -505,28 +492,36 @@ class ArchiveStore:
         return len(self._records)
 
     def verify(self) -> list[str]:
-        """Cross-check index rows against record frames; returns problems."""
+        """Problems found by checking that each frame has exactly one
+        `index.cdxj` row, equal to the row it writes (in-memory stores have
+        none), and a variant key that re-derives from its header pair."""
         problems: list[str] = []
-        seen_ids: set[int] = set()
-        for uri, index in self._by_uri.items():
-            for entry in index.entries:
-                seen_ids.add(entry.id)
-                record = self._records.get(entry.id)
-                if record is None:
-                    problems.append(f"index names missing record {entry.id}")
-                    continue
-                if str(record.uri) != uri or record.datetime != entry.datetime:
-                    problems.append(f"index row for record {entry.id} disagrees")
-                rederived = derive_variant_key(
-                    record.request_headers, record.response_headers, self.variant_config
-                )
-                if rederived != entry.variant_key:
-                    problems.append(
-                        f"variant key of record {entry.id} not reproducible"
-                    )
-        for record_id in self._records:
-            if record_id not in seen_ids:
-                problems.append(f"record {record_id} missing from index")
+        indexed: set[int] = set()
+        if self._directory is not None:
+            with open(self._directory / INDEX_NAME, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    try:
+                        record_id = int(json.loads(line.split(" ", 2)[2])["id"])
+                    except (IndexError, KeyError, TypeError, ValueError):
+                        problems.append(f"index line {lineno} malformed: {line!r}")
+                        continue
+                    record = self._records.get(record_id)
+                    if record is None:
+                        problems.append(f"index line {lineno} names missing record {record_id}")
+                    elif record_id in indexed:
+                        problems.append(f"index line {lineno} repeats record {record_id}")
+                    elif line != _index_line(record):
+                        problems.append(f"index row for record {record_id} disagrees with its frame")
+                    indexed.add(record_id)
+        for record in self.iter_records():
+            if self._directory is not None and record.id not in indexed:
+                problems.append(f"record {record.id} missing from index")
+            rederived = derive_variant_key(
+                record.request_headers, record.response_headers, self.variant_config
+            )
+            if rederived != record.variant_key:
+                problems.append(f"variant key of record {record.id} not reproducible")
         return problems
 
     def close(self) -> None:

@@ -132,6 +132,15 @@ class TestPipeline:
         assert verdict["verdict"] in ("consistent", "defaced")
         assert verdict["parts"]
 
+    def test_archives_are_byte_deterministic(self, tmp_path, capsys):
+        names = ("records.dat", "index.cdxj", "meta.json")
+        assert _crawl(tmp_path, out="first") == 0
+        assert _crawl(tmp_path, out="second") == 0
+        first = {n: (tmp_path / "first" / n).read_bytes() for n in names}
+        assert {n: (tmp_path / "second" / n).read_bytes() for n in names} == first
+        ArchiveStore.open(tmp_path / "first").close()
+        assert {n: (tmp_path / "first" / n).read_bytes() for n in names} == first
+
     def test_detect_lang_shorthand(self, tmp_path, capsys):
         assert _crawl(tmp_path) == 0
         capsys.readouterr()

@@ -191,6 +191,20 @@ class TestNetscapeFormat:
     def test_empty_jar_exports_header_only(self):
         assert CookieJar().export_netscape() == "# Netscape HTTP Cookie File\n"
 
+    def test_duplicated_row_keeps_last_value_at_first_position(self):
+        text = (
+            "# Netscape HTTP Cookie File\n"
+            "twitter.com\tFALSE\t/\tFALSE\t0\tlang\tar\n"
+            "twitter.com\tFALSE\t/\tFALSE\t0\ttheme\tdark\n"
+            "twitter.com\tFALSE\t/\tFALSE\t0\tlang\tkn\n"
+        )
+        jar = import_netscape(text)
+        assert jar.export_netscape().splitlines()[1:] == [
+            "twitter.com\tFALSE\t/\tFALSE\t0\tlang\tkn",
+            "twitter.com\tFALSE\t/\tFALSE\t0\ttheme\tdark",
+        ]
+        assert jar.cookies_for(TWITTER_ROOT, NOW) == [("lang", "kn"), ("theme", "dark")]
+
     def test_malformed_rows_skipped_with_line_numbers(self, caplog):
         text = (
             "# header\n"

@@ -130,16 +130,20 @@ class TestParseSetCookie:
         root = canonicalize("https://example.com/")
         assert parse_set_cookie("k=v", root, NOW).path == "/"
 
-    def test_non_rfc1123_expires_means_session(self):
-        # lenient date shapes other jars accept are deliberately out of scope
+    def test_unparseable_expires_means_session(self):
         for shape in (
-            "Sun, 06-Nov-1994 08:49:37 GMT",
-            "Sunday, 06 Nov 1994 08:49:37 GMT",
-            "06 Nov 2037 08:49:37 GMT",
+            "Sun, 32 Nov 2037 08:49:37 GMT",
+            "Sun, 06 Nov 2037 GMT",
             "garbage",
         ):
             cookie = parse_set_cookie(f"a=1; Expires={shape}", TWITTER_LANG_AR, NOW)
             assert cookie.expires_at is None
+
+    def test_lenient_expires_keeps_cookie_persistent(self):
+        cookie = parse_set_cookie(
+            "a=1; Expires=Wednesday, 21-Oct-37 07:28:00 GMT", TWITTER_LANG_AR, NOW
+        )
+        assert cookie.expires_at == datetime(2037, 10, 21, 7, 28, 0, tzinfo=UTC)
 
     def test_invalid_max_age_ignored(self):
         cookie = parse_set_cookie("a=1; Max-Age=soon", TWITTER_LANG_AR, NOW)
@@ -162,6 +166,37 @@ def test_parse_cookie_date_valid():
         1994, 11, 6, 8, 49, 37, tzinfo=UTC
     )
     assert parse_cookie_date("Xxx, 99 Nov 1994 08:49:37 GMT") is None
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        # RFC 6265 section 5.1.1: any delimiters, any token order
+        ("Wed, 21 Oct 2015 07:28:00 GMT", (2015, 10, 21, 7, 28, 0)),
+        ("Wed, 21-Oct-2015 07:28:00 GMT", (2015, 10, 21, 7, 28, 0)),
+        ("Wednesday, 21-Oct-15 07:28:00 GMT", (2015, 10, 21, 7, 28, 0)),
+        ("Wed Oct 21 07:28:00 2015", (2015, 10, 21, 7, 28, 0)),
+        ("21 Oct 2015 07:28:00 GMT", (2015, 10, 21, 7, 28, 0)),
+        ("Wed, 21 OCTOBER 2015 7:8:9 GMT", (2015, 10, 21, 7, 8, 9)),
+        ("1 Jan 70 00:00:00", (1970, 1, 1, 0, 0, 0)),
+        ("1 Jan 69 00:00:00", (2069, 1, 1, 0, 0, 0)),
+        ("31 Dec 1601 23:59:59 GMT", (1601, 12, 31, 23, 59, 59)),
+        # rejected: a part missing or out of bounds, or no such day
+        ("Wed, 21 Oct 2015 GMT", None),
+        ("Wed, 21 2015 07:28:00 GMT", None),
+        ("Wed, 32 Oct 2015 07:28:00 GMT", None),
+        ("Wed, 0 Oct 2015 07:28:00 GMT", None),
+        ("Wed, 21 Oct 1600 07:28:00 GMT", None),
+        ("Wed, 21 Oct 2015 24:00:00 GMT", None),
+        ("Wed, 21 Oct 2015 07:60:00 GMT", None),
+        ("Wed, 21 Oct 2015 07:28:60 GMT", None),
+        ("Mon, 30 Feb 2015 07:28:00 GMT", None),
+        ("", None),
+    ],
+)
+def test_parse_cookie_date_table(value, expected):
+    parsed = parse_cookie_date(value)
+    assert parsed == (None if expected is None else datetime(*expected, tzinfo=UTC))
 
 
 class TestCookieHeader:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import random
 from datetime import timedelta
 
@@ -199,7 +200,58 @@ class TestDiskFormat:
         index.write_text(index.read_text().replace("lang=kn", "lang=XX"))
         with ArchiveStore.open(tmp_path / "arch") as tampered:
             problems = tampered.verify()
-        assert problems and "not reproducible" in problems[0]
+        assert problems == ["index row for record 1 disagrees with its frame"]
+
+    def test_failed_index_row_write_keeps_the_capture_and_its_id(self, tmp_path):
+        class FullDisk:
+            """Index file whose first write fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.failed = fh, False
+
+            def write(self, data):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        first = make_record("https://a.example/", START, lang="kn")
+        second = make_record("https://b.example/", START + timedelta(seconds=9))
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            store._index_file = FullDisk(store._index_file)
+            with pytest.raises(StoreError, match="frame of record 1 is stored"):
+                store.append(first)
+            assert store.append(second) == 2
+        with ArchiveStore.open(tmp_path / "arch") as reopened:
+            assert [(r.id, str(r.uri)) for r in reopened.iter_records()] == [
+                (1, "https://a.example/"),
+                (2, "https://b.example/"),
+            ]
+            assert reopened.nearest("https://a.example/", START).id == 1
+            assert reopened.nearest("https://b.example/", START).id == 2
+            assert reopened.verify() == ["record 1 missing from index"]
+
+    def test_cut_off_final_index_line_still_serves_the_capture(self, tmp_path):
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            self._populate(store)
+        index = tmp_path / "arch" / "index.cdxj"
+        index.write_bytes(index.read_bytes()[:-12])
+        with ArchiveStore.open(tmp_path / "arch") as reopened:
+            assert reopened.nearest("https://b.example/x", START).id == 3
+            problems = reopened.verify()
+        assert problems[0].startswith("index line 3 malformed")
+        assert problems[1:] == ["record 3 missing from index"]
+
+    def test_duplicate_frame_id_is_rejected_on_open(self, tmp_path):
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            store.append(make_record("https://a.example/", START))
+        records = tmp_path / "arch" / "records.dat"
+        records.write_bytes(records.read_bytes() * 2)
+        with pytest.raises(StoreError, match="record id 1 already present"):
+            ArchiveStore.open(tmp_path / "arch")
 
     def test_random_archives_round_trip(self, tmp_path):
         rng = random.Random(6006)
