@@ -28,7 +28,6 @@ from .http_core import (
     parse_accept_language,
     parse_cookie_header,
     parse_set_cookie,
-    parse_vary,
 )
 from .origin import SiteConfig, alternate_links, handle, negotiate_language
 from .replay import (

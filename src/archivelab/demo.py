@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -107,117 +108,115 @@ def run_demo(plan: DemoPlan) -> DemoResult:
     created_out_dir = not out_dir.exists()
     created: list[Path] = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        fetch = fetch_fn(plan.site)
-        cfg = VariantConfig()
-        root_uri = plan.seed_uri
+        # closes every store before a failure reaches _cleanup
+        with ExitStack() as open_stores:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            fetch = fetch_fn(plan.site)
+            cfg = VariantConfig()
+            root_uri = plan.seed_uri
 
-        # crawl arm: one archive per jar policy
-        stores: list[tuple[str, ArchiveStore]] = []
-        for i, policy in enumerate(plan.policies):
-            label = _policy_label(i, policy)
-            archive_dir = out_dir / f"archive-{label}"
-            created.append(archive_dir)
-            store = ArchiveStore.create(archive_dir, cfg)
-            crawl_policy = CrawlPolicy(
-                jar_policy=policy,
-                max_pages=plan.max_pages,
-                revisit_root_every=plan.revisit_root_every,
+            # crawl arm: one archive per jar policy
+            stores: list[tuple[str, ArchiveStore]] = []
+            for i, policy in enumerate(plan.policies):
+                label = _policy_label(i, policy)
+                archive_dir = out_dir / f"archive-{label}"
+                created.append(archive_dir)
+                store = open_stores.enter_context(ArchiveStore.create(archive_dir, cfg))
+                crawl_policy = CrawlPolicy(
+                    jar_policy=policy,
+                    max_pages=plan.max_pages,
+                    revisit_root_every=plan.revisit_root_every,
+                )
+                for session in range(plan.sessions):
+                    start = _BASE_START + timedelta(days=session)
+                    for record in crawl([root_uri], fetch, crawl_policy, start, variant_config=cfg):
+                        store.append(record)
+                stores.append((label, store))
+                logger.info("crawled %s: %d captures", label, len(store))
+
+            faithful_label, faithful_store = stores[0]
+            fixed_label, fixed_store = stores[-1]
+            bias = bias_report(
+                faithful_store, fixed_store, root_uri, faithful_label, fixed_label
             )
-            for session in range(plan.sessions):
-                start = _BASE_START + timedelta(days=session)
-                for record in crawl([root_uri], fetch, crawl_policy, start, variant_config=cfg):
-                    store.append(record)
-            stores.append((label, store))
-            logger.info("crawled %s: %d captures", label, len(store))
+            bias_json = out_dir / "bias_report.json"
+            bias_text = out_dir / "bias_report.txt"
+            created += [bias_json, bias_text]
+            bias_json.write_text(json.dumps(bias.to_json(), indent=2) + "\n", encoding="utf-8")
+            bias_text.write_text(bias.to_text(), encoding="utf-8")
 
-        faithful_label, faithful_store = stores[0]
-        fixed_label, fixed_store = stores[-1]
-        bias = bias_report(
-            faithful_store, fixed_store, root_uri, faithful_label, fixed_label
-        )
-        bias_json = out_dir / "bias_report.json"
-        bias_text = out_dir / "bias_report.txt"
-        created += [bias_json, bias_text]
-        bias_json.write_text(json.dumps(bias.to_json(), indent=2) + "\n", encoding="utf-8")
-        bias_text.write_text(bias.to_text(), encoding="utf-8")
+            # replay arm: scripted defacement scenario, reconstructed both ways
+            root_lang, part_langs = _scenario_languages(plan.site)
+            scenario_dir = out_dir / "archive-scenario"
+            created.append(scenario_dir)
+            scenario_store = open_stores.enter_context(ArchiveStore.create(scenario_dir, cfg))
+            schedule = scenario_schedule(plan.site, root_lang, part_langs)
+            records = scripted_crawl(
+                schedule, fetch, JarPolicy(max_ttl=None), _BASE_START, variant_config=cfg
+            )
+            for record in records:
+                scenario_store.append(record)
+            root_capture_time = records[1].datetime
 
-        # replay arm: scripted defacement scenario, reconstructed both ways
-        root_lang, part_langs = _scenario_languages(plan.site)
-        scenario_dir = out_dir / "archive-scenario"
-        created.append(scenario_dir)
-        scenario_store = ArchiveStore.create(scenario_dir, cfg)
-        schedule = scenario_schedule(plan.site, root_lang, part_langs)
-        records = scripted_crawl(
-            schedule, fetch, JarPolicy(max_ttl=None), _BASE_START, variant_config=cfg
-        )
-        for record in records:
-            scenario_store.append(record)
-        root_capture_time = records[1].datetime
+            baseline = reconstruct_composite(
+                scenario_store, root_uri, root_capture_time, ReplayMode.baseline()
+            )
+            variant = reconstruct_composite(
+                scenario_store,
+                root_uri,
+                root_capture_time,
+                ReplayMode.variant_aware(),
+                RequestContext.with_cookies([("lang", root_lang)]),
+            )
+            if baseline is None or variant is None:
+                raise RuntimeError("scenario root capture could not be selected")
+            baseline_report = detect_violations(baseline)
+            variant_report = detect_violations(variant)
+            for name, report in (
+                ("violations_baseline.json", baseline_report),
+                ("violations_variant.json", variant_report),
+            ):
+                path = out_dir / name
+                created.append(path)
+                path.write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
 
-        baseline = reconstruct_composite(
-            scenario_store, root_uri, root_capture_time, ReplayMode.baseline()
-        )
-        variant = reconstruct_composite(
-            scenario_store,
-            root_uri,
-            root_capture_time,
-            ReplayMode.variant_aware(),
-            RequestContext.with_cookies([("lang", root_lang)]),
-        )
-        if baseline is None or variant is None:
-            raise RuntimeError("scenario root capture could not be selected")
-        baseline_report = detect_violations(baseline)
-        variant_report = detect_violations(variant)
-        for name, report in (
-            ("violations_baseline.json", baseline_report),
-            ("violations_variant.json", variant_report),
-        ):
-            path = out_dir / name
-            created.append(path)
-            path.write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
-
-        contract_ok = (
-            baseline_report.verdict == DEFACED
-            and len(baseline_report.violating_parts) >= 1
-            and variant_report.verdict == CONSISTENT
-            and not variant_report.violating_parts
-        )
-        faithful_dist = distribution(faithful_store, root_uri)
-        fixed_dist = distribution(fixed_store, root_uri)
-        report = {
-            "seed": root_uri,
-            "sessions": plan.sessions,
-            "policies": [
-                {
-                    "label": _policy_label(i, p),
-                    "max_ttl_seconds": None
-                    if p.max_ttl is None
-                    else p.max_ttl.total_seconds(),
-                }
-                for i, p in enumerate(plan.policies)
-            ],
-            "bias": {
-                "faithful_entropy_bits": shannon_entropy(faithful_dist.counts),
-                "fixed_entropy_bits": shannon_entropy(fixed_dist.counts),
-                "faithful_modal": faithful_dist.modal(),
-                "fixed_modal": fixed_dist.modal(),
-            },
-            "scenario": {
-                "root_language": root_lang,
-                "part_languages": part_langs,
-                "baseline": baseline_report.to_json(),
-                "variant_aware": variant_report.to_json(),
-            },
-            "contract_satisfied": contract_ok,
-        }
-        report_path = out_dir / "demo_report.json"
-        created.append(report_path)
-        report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-        for _, store in stores:
-            store.close()
-        scenario_store.close()
+            contract_ok = (
+                baseline_report.verdict == DEFACED
+                and len(baseline_report.violating_parts) >= 1
+                and variant_report.verdict == CONSISTENT
+                and not variant_report.violating_parts
+            )
+            faithful_dist = distribution(faithful_store, root_uri)
+            fixed_dist = distribution(fixed_store, root_uri)
+            report = {
+                "seed": root_uri,
+                "sessions": plan.sessions,
+                "policies": [
+                    {
+                        "label": _policy_label(i, p),
+                        "max_ttl_seconds": None
+                        if p.max_ttl is None
+                        else p.max_ttl.total_seconds(),
+                    }
+                    for i, p in enumerate(plan.policies)
+                ],
+                "bias": {
+                    "faithful_entropy_bits": shannon_entropy(faithful_dist.counts),
+                    "fixed_entropy_bits": shannon_entropy(fixed_dist.counts),
+                    "faithful_modal": faithful_dist.modal(),
+                    "fixed_modal": fixed_dist.modal(),
+                },
+                "scenario": {
+                    "root_language": root_lang,
+                    "part_languages": part_langs,
+                    "baseline": baseline_report.to_json(),
+                    "variant_aware": variant_report.to_json(),
+                },
+                "contract_satisfied": contract_ok,
+            }
+            report_path = out_dir / "demo_report.json"
+            created.append(report_path)
+            report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         return DemoResult(0 if contract_ok else 3, report, report_path)
     except Exception:
         _cleanup(out_dir, created, created_out_dir)

@@ -26,7 +26,6 @@ __all__ = [
     "parse_set_cookie",
     "parse_cookie_header",
     "format_cookie_header",
-    "parse_vary",
     "vary_spec",
     "parse_accept_language",
     "parse_cookie_date",
@@ -63,11 +62,22 @@ def format_timestamp14(dt: datetime) -> str:
     return ensure_utc(dt).strftime("%Y%m%d%H%M%S")
 
 
+_TIMESTAMP14_RE = re.compile(r"\d{14}")
+
+
 def parse_timestamp14(value: str) -> datetime:
     """Parse a 14-digit timestamp; raises ValueError on anything else."""
-    if not re.fullmatch(r"\d{14}", value):
+    if not _TIMESTAMP14_RE.fullmatch(value):
         raise ValueError(f"not a 14-digit timestamp: {value!r}")
-    return datetime.strptime(value, "%Y%m%d%H%M%S").replace(tzinfo=UTC)
+    return datetime(
+        int(value[0:4]),
+        int(value[4:6]),
+        int(value[6:8]),
+        int(value[8:10]),
+        int(value[10:12]),
+        int(value[12:14]),
+        tzinfo=UTC,
+    )
 
 
 class Headers:
@@ -518,10 +528,6 @@ def vary_spec(headers: Headers) -> VarySpec:
     if is_all:
         return VarySpec((), True)
     return VarySpec(tuple(fields), False)
-
-
-def parse_vary(response: HttpResponse) -> VarySpec:
-    return vary_spec(response.headers)
 
 
 # --- Accept-Language --------------------------------------------------------

@@ -21,10 +21,14 @@ On disk an archive is a directory of three files:
 Variant keys are computed at ingest time from the request/response header
 pair and stored; lookups never recompute them.
 
-`open` builds the in-memory index from the frames of `records.dat` alone; a
-repeated frame id is a `StoreError`. Each URI's captures are indexed twice:
-one list of all entries in (datetime, id) order, and the same entries grouped
-by dimension tuple, then by variant key, each group in (datetime, id) order.
+`open` builds the in-memory index from the frame headers of `records.dat`
+alone, seeking past every body; a repeated frame id is a `StoreError`. It
+never writes: a torn final frame is left out of the index with a warning,
+and the next `append` cuts it off. A disk store keeps only each
+frame's offset and length and reads a record back with `os.pread` when
+`get_record` asks for it. Each URI's captures are indexed twice: one list of
+all entries in (datetime, id) order, and the same entries grouped by
+dimension tuple, then by variant key, each group in (datetime, id) order.
 `nearest` bisects them.
 """
 
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import warnings
 from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -84,10 +90,6 @@ class VariantKey:
 
     def to_json(self) -> list[list[str]]:
         return [[d, v] for d, v in self.pairs]
-
-    @classmethod
-    def from_json(cls, data: list) -> "VariantKey":
-        return cls(tuple((str(d), str(v)) for d, v in data))
 
     def encode(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
@@ -253,6 +255,14 @@ def _closest(entries: list[IndexEntry], target: datetime) -> IndexEntry | None:
     )
 
 
+def _add_sorted(entries: list[IndexEntry], entry: IndexEntry) -> None:
+    """Keep `entries` (datetime, id)-sorted; appending in order costs O(1)."""
+    if entries and _entry_order(entry) < _entry_order(entries[-1]):
+        insort(entries, entry, key=_entry_order)
+    else:
+        entries.append(entry)
+
+
 @dataclass
 class _UriIndex:
     """Every capture of one URI, (datetime, id)-sorted, plus the same entries
@@ -266,8 +276,18 @@ class _UriIndex:
     def add(self, entry: IndexEntry) -> None:
         dimensions = tuple(d for d, _ in entry.variant_key.pairs)
         group = self.groups.setdefault(dimensions, {}).setdefault(entry.variant_key, [])
-        insort(group, entry, key=_entry_order)
-        insort(self.entries, entry, key=_entry_order)
+        _add_sorted(group, entry)
+        _add_sorted(self.entries, entry)
+
+
+class _Frame(NamedTuple):
+    """Where a disk store's record lives in `records.dat`, plus the fields
+    `open` already parsed from its header."""
+
+    offset: int
+    length: int
+    uri: CanonicalUri
+    entry: IndexEntry
 
 
 def _frame_header(record: ArchiveRecord) -> bytes:
@@ -284,19 +304,6 @@ def _frame_header(record: ArchiveRecord) -> bytes:
     return json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def _record_from_frame(header: dict, body: bytes) -> ArchiveRecord:
-    return ArchiveRecord(
-        id=int(header["id"]),
-        uri=canonicalize(header["uri"]),
-        datetime=parse_timestamp14(header["datetime"]),
-        request_headers=Headers([(k, v) for k, v in header["request_headers"]]),
-        response_status=int(header["status"]),
-        response_headers=Headers([(k, v) for k, v in header["response_headers"]]),
-        body=body,
-        variant_key=VariantKey.from_json(header["variant"]),
-    )
-
-
 def _index_line(record: ArchiveRecord) -> str:
     blob = json.dumps(
         {
@@ -310,29 +317,54 @@ def _index_line(record: ArchiveRecord) -> str:
     return f"{record.uri} {record.timestamp14} {blob}"
 
 
-def _durable_write(fh, data: bytes, failure: str) -> None:
-    try:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    except OSError as exc:
-        raise StoreError(f"{failure}: {exc}") from exc
+class _TornFrame(Exception):
+    """The final frame of `records.dat` ends before its body does."""
+
+
+# Header keys are sorted, so every frame starts with its body length, and
+# "id" follows only "body_length" and "datetime": the first match in a torn
+# header is its id when the id is complete.
+_HEADER_START = b'{"body_length":'
+_TORN_ID_RE = re.compile(rb'"id":(\d+)[,}]')
+
+
+def _holds_later_frame(data: bytes, record_id: int) -> bool:
+    """True when a complete line of `data` after its first newline is a
+    frame header with an id above `record_id`. Body bytes may contain
+    anything, so a line that merely starts like a header does not count."""
+    for line in data.split(b"\n")[1:-1]:
+        if line.startswith(_HEADER_START):
+            try:
+                later = json.loads(line)["id"]
+            except (KeyError, ValueError):
+                continue
+            if type(later) is int and later > record_id:
+                return True
+    return False
 
 
 class ArchiveStore:
     """Capture store: single writer, any number of readers.
 
-    Disk-backed stores flush and fsync every append, so a record is durable
-    before `append` returns. At desk scale all records are also kept in
-    memory; `open` reloads everything from `records.dat`.
+    A disk store fsyncs each frame of `records.dat` before `append` returns;
+    it writes and flushes each `index.cdxj` row, and fsyncs the index once,
+    at `close()`. It keeps the index of every capture in memory but no
+    record: `get_record` and `iter_records` read frames back through the
+    descriptor it appends with, which `close()` releases. An in-memory store
+    keeps its records.
     """
 
     def __init__(self, directory: Path | None, variant_config: VariantConfig):
         self._directory = directory
         self.variant_config = variant_config
-        self._records: dict[int, ArchiveRecord] = {}
+        # id -> the record itself (in memory) or where its frame is (on disk)
+        self._records: dict[int, ArchiveRecord | _Frame] = {}
         self._by_uri: defaultdict[str, _UriIndex] = defaultdict(_UriIndex)
         self._next_id = 1
+        self._size = 0  # bytes of complete frames in records.dat
+        self._torn_tail = False  # records.dat ends in a partial frame past _size
+        self._refusal: str | None = None  # why every append now fails
+        self._index_unsynced = False  # rows written since open, to fsync at close
         self._records_file = None
         self._index_file = None
 
@@ -373,34 +405,97 @@ class ArchiveStore:
         if meta.get("version") != FORMAT_VERSION:
             raise StoreError(f"unsupported archive version: {meta.get('version')}")
         store = cls(directory, VariantConfig.from_json(meta["variant_config"]))
-        store._load_records()
+        store._scan_frames()
         store._open_files()
         return store
 
     def _open_files(self) -> None:
         assert self._directory is not None
-        self._records_file = open(self._directory / RECORDS_NAME, "ab")
-        self._index_file = open(self._directory / INDEX_NAME, "ab")
+        try:
+            # appends and preads share one descriptor; unbuffered, so a failed
+            # append leaves no bytes to flush later
+            self._records_file = open(self._directory / RECORDS_NAME, "a+b", buffering=0)
+            self._index_file = open(self._directory / INDEX_NAME, "ab")
+        except OSError as exc:
+            self.close()
+            raise StoreError(f"cannot open archive files: {exc}") from exc
 
-    def _load_records(self) -> None:
+    def _scan_frames(self) -> None:
+        """Index every frame of `records.dat` from its header line, seeking
+        past its body.
+
+        Each distinct URI string is canonicalized once and each distinct
+        variant key built once. Only the bytes present at the start of the
+        scan are read, so frames another process appends meanwhile wait for
+        the next `open`. A final frame that ends early, as a crash in
+        `append` leaves it, is left out with a warning, and the next `append`
+        cuts it off; any other bad frame is a `StoreError`. The file is never
+        changed here.
+        """
         assert self._directory is not None
         path = self._directory / RECORDS_NAME
-        if not path.exists():
-            raise StoreError(f"missing {RECORDS_NAME} in {self._directory}")
-        with open(path, "rb") as fh:
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            raise StoreError(f"missing {RECORDS_NAME} in {self._directory}") from None
+        uris: dict[str, tuple[str, CanonicalUri]] = {}
+        keys: dict[tuple[tuple[str, str], ...], VariantKey] = {}
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            offset = 0
+            while offset < size:
+                line = fh.readline()[: size - offset]
                 try:
+                    if not line.endswith(b"\n"):
+                        raise _TornFrame
                     header = json.loads(line)
-                    body = fh.read(header["body_length"])
-                    if len(body) != header["body_length"] or fh.read(1) != b"\n":
-                        raise StoreError(f"truncated frame for record {header.get('id')}")
-                    record = _record_from_frame(header, body)
-                except (KeyError, ValueError) as exc:
+                    length = header["body_length"]
+                    if type(length) is not int or length < 0:
+                        raise ValueError(f"bad body_length {length!r}")
+                    end = offset + len(line) + length + 1
+                    if end > size:
+                        record_id = int(header["id"])
+                        if _holds_later_frame(fh.read(size - fh.tell()), record_id):
+                            raise ValueError(f"body of record {record_id} overruns later frames")
+                        raise _TornFrame
+                    fh.seek(length, os.SEEK_CUR)
+                    if fh.read(1) != b"\n":
+                        raise ValueError(f"no newline after the body of record {header.get('id')}")
+                    uri = uris.get(header["uri"])
+                    if uri is None:
+                        canonical = canonicalize(header["uri"])
+                        uri = uris[header["uri"]] = (str(canonical), canonical)
+                    uri_key, canonical = uri
+                    status = int(header["status"])
+                    if not 0 <= status <= 599:
+                        raise ValueError(f"response status out of range: {status}")
+                    # get_record builds Headers from these pairs: they must unpack
+                    for _name, _value in header["request_headers"]:
+                        pass
+                    for _name, _value in header["response_headers"]:
+                        pass
+                    pairs = tuple((str(d), str(v)) for d, v in header["variant"])
+                    key = keys.get(pairs)
+                    if key is None:
+                        key = keys[pairs] = VariantKey(pairs)
+                    entry = IndexEntry(
+                        parse_timestamp14(header["datetime"]), key, int(header["id"])
+                    )
+                except _TornFrame:
+                    found = _TORN_ID_RE.search(line)
+                    name = f"record {int(found.group(1))}" if found else "a record whose id was cut"
+                    warnings.warn(
+                        f"{path}: ignored the torn final frame of {name} ({size - offset} "
+                        f"bytes at offset {offset}); the next append cuts it off",
+                        stacklevel=3,
+                    )
+                    self._torn_tail = True
+                    break
+                except (KeyError, TypeError, ValueError) as exc:
                     raise StoreError(f"corrupt record frame: {exc}") from exc
-                self._register(record)
+                self._register(uri_key, entry, _Frame(offset, end - offset, canonical, entry))
+                offset = end
+        self._size = offset
 
     # -- write path -----------------------------------------------------------
 
@@ -409,31 +504,67 @@ class ArchiveStore:
 
         The record's variant key must already be derived. Duplicate
         (uri, datetime, variant) captures are allowed: append-only means
-        append-only. The capture is registered once its frame is durable, so
-        a failed index-row write still raises but never frees the id.
+        append-only. On disk the capture is registered once its frame is
+        fsynced. A frame that fails to write or sync is cut off again, so
+        its id stays free; a failed index-row write still raises, but the
+        capture stays registered and its id is never reused.
         """
         if record.id is None:
             record = replace(record, id=self._next_id)
         if record.id in self._records:
             raise StoreError(f"record id {record.id} already present")
-        if self._records_file is not None:
-            frame = _frame_header(record) + b"\n" + record.body + b"\n"
-            _durable_write(self._records_file, frame, f"append of record {record.id} failed")
-        self._register(record)
-        if self._index_file is not None:
-            row = (_index_line(record) + "\n").encode("utf-8")
-            failure = f"frame of record {record.id} is stored but its index row is not"
-            _durable_write(self._index_file, row, failure)
+        entry = IndexEntry(record.datetime, record.variant_key, record.id)
+        if self._directory is None:
+            self._register(str(record.uri), entry, record)
+            return record.id
+        frame = _frame_header(record) + b"\n" + record.body + b"\n"
+        self._write_frame(frame, record.id)
+        self._register(str(record.uri), entry, _Frame(self._size, len(frame), record.uri, entry))
+        self._size += len(frame)
+        self._index_unsynced = True
+        try:
+            self._index_file.write((_index_line(record) + "\n").encode("utf-8"))
+            self._index_file.flush()
+        except OSError as exc:
+            raise StoreError(
+                f"frame of record {record.id} is stored but its index row is not: {exc}"
+            ) from exc
         return record.id
 
-    def _register(self, record: ArchiveRecord) -> None:
-        if record.id in self._records:
-            raise StoreError(f"record id {record.id} already present")
-        self._records[record.id] = record
-        self._by_uri[str(record.uri)].add(
-            IndexEntry(record.datetime, record.variant_key, record.id)
-        )
-        self._next_id = max(self._next_id, record.id + 1)
+    def _write_frame(self, frame: bytes, record_id: int) -> None:
+        """Write and fsync `frame` after the last complete frame of
+        `records.dat`, first cutting off a torn tail that `open` found. On
+        failure cut the file back to its length before; if that fails too,
+        refuse every later append."""
+        if self._refusal is not None:
+            raise StoreError(self._refusal)
+        if self._records_file is None:
+            raise StoreError(f"archive at {self._directory} is closed")
+        try:
+            if self._torn_tail:
+                os.ftruncate(self._records_file.fileno(), self._size)
+                self._torn_tail = False
+            view = memoryview(frame)
+            while view:
+                view = view[self._records_file.write(view) :]
+            os.fsync(self._records_file.fileno())
+        except OSError as exc:
+            try:
+                os.ftruncate(self._records_file.fileno(), self._size)
+            except OSError as again:
+                self._refusal = (
+                    f"{RECORDS_NAME} may end in a partial frame of record {record_id}, "
+                    f"which could not be cut off: {again}"
+                )
+                raise StoreError(self._refusal) from exc
+            raise StoreError(f"append of record {record_id} failed: {exc}") from exc
+
+    def _register(self, uri: str, entry: IndexEntry, held: ArchiveRecord | _Frame) -> None:
+        if entry.id in self._records:
+            raise StoreError(f"record id {entry.id} already present")
+        self._records[entry.id] = held
+        self._by_uri[uri].add(entry)
+        self._next_id = max(self._next_id, entry.id + 1)
 
     # -- read path ------------------------------------------------------------
 
@@ -476,14 +607,40 @@ class ArchiveStore:
         return _closest(candidates, target)
 
     def get_record(self, record_id: int) -> ArchiveRecord:
+        held = self._records.get(record_id)
+        if held is None:
+            raise StoreError(f"no record with id {record_id}")
+        if isinstance(held, ArchiveRecord):
+            return held
+        return self._read_frame(record_id, held)
+
+    def _read_frame(self, record_id: int, frame: _Frame) -> ArchiveRecord:
+        """Decode one frame, reusing the fields `open` already parsed."""
+        if self._records_file is None:
+            raise StoreError(f"archive at {self._directory} is closed")
+        data = os.pread(self._records_file.fileno(), frame.length, frame.offset)
         try:
-            return self._records[record_id]
-        except KeyError:
-            raise StoreError(f"no record with id {record_id}") from None
+            split = data.index(b"\n")
+            header = json.loads(data[:split])
+            found = int(header["id"]) == record_id and len(data) == frame.length
+        except (KeyError, TypeError, ValueError):
+            found = False
+        if not found:
+            raise StoreError(f"frame at offset {frame.offset} is not record {record_id}")
+        return ArchiveRecord(
+            id=record_id,
+            uri=frame.uri,
+            datetime=frame.entry.datetime,
+            request_headers=Headers(header["request_headers"]),
+            response_status=int(header["status"]),
+            response_headers=Headers(header["response_headers"]),
+            body=data[split + 1 : -1],
+            variant_key=frame.entry.variant_key,
+        )
 
     def iter_records(self) -> Iterator[ArchiveRecord]:
         for record_id in sorted(self._records):
-            yield self._records[record_id]
+            yield self.get_record(record_id)
 
     def uris(self) -> list[str]:
         return sorted(self._by_uri)
@@ -506,12 +663,11 @@ class ArchiveStore:
                     except (IndexError, KeyError, TypeError, ValueError):
                         problems.append(f"index line {lineno} malformed: {line!r}")
                         continue
-                    record = self._records.get(record_id)
-                    if record is None:
+                    if record_id not in self._records:
                         problems.append(f"index line {lineno} names missing record {record_id}")
                     elif record_id in indexed:
                         problems.append(f"index line {lineno} repeats record {record_id}")
-                    elif line != _index_line(record):
+                    elif line != _index_line(self.get_record(record_id)):
                         problems.append(f"index row for record {record_id} disagrees with its frame")
                     indexed.add(record_id)
         for record in self.iter_records():
@@ -525,12 +681,22 @@ class ArchiveStore:
         return problems
 
     def close(self) -> None:
-        if self._records_file is not None:
-            self._records_file.close()
-            self._records_file = None
-        if self._index_file is not None:
-            self._index_file.close()
-            self._index_file = None
+        """Fsync `index.cdxj` if rows were written, then release every file;
+        closing twice is a no-op."""
+        index, self._index_file = self._index_file, None
+        try:
+            if index is not None:
+                try:
+                    if self._index_unsynced:
+                        os.fsync(index.fileno())
+                finally:
+                    index.close()
+        except OSError as exc:
+            raise StoreError(f"cannot sync {INDEX_NAME}: {exc}") from exc
+        finally:
+            records, self._records_file = self._records_file, None
+            if records is not None:
+                records.close()
 
     def __enter__(self) -> "ArchiveStore":
         return self

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,20 @@ class TestExitCodes:
         code = main(["demo", "--out", str(out), "--max-pages", "20"])
         assert code == 2
         assert not out.exists()  # crawl archives had been written, then removed
+
+    def test_demo_failure_closes_every_store(self, tmp_path, monkeypatch):
+        import archivelab.demo as demo_module
+
+        def explode(*args, **kwargs):
+            raise OSError("disk full (synthetic)")
+
+        monkeypatch.setattr(demo_module, "scripted_crawl", explode)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["demo", "--out", str(tmp_path / "demo"), "--max-pages", "20"])
+            gc.collect()
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestPipeline:

@@ -20,7 +20,7 @@ from archivelab.http_core import (
     parse_cookie_header,
     parse_set_cookie,
     parse_timestamp14,
-    parse_vary,
+    vary_spec,
 )
 
 UTC = timezone.utc
@@ -223,25 +223,25 @@ class TestCookieHeader:
 class TestParseVary:
     def test_merge_and_normalize(self):
         resp = HttpResponse(200, Headers([("vary", "Cookie, Accept-Language")]))
-        assert parse_vary(resp).fields == ("cookie", "accept-language")
+        assert vary_spec(resp.headers).fields == ("cookie", "accept-language")
 
     def test_absent_is_empty(self):
-        assert parse_vary(HttpResponse(200)).is_empty
+        assert vary_spec(HttpResponse(200).headers).is_empty
 
     def test_star_dominates_across_headers(self):
         resp = HttpResponse(200, Headers([("vary", "cookie"), ("vary", "*")]))
-        spec = parse_vary(resp)
+        spec = vary_spec(resp.headers)
         assert spec.is_all and spec.fields == ()
 
     def test_dedup_preserves_first_occurrence_order(self):
         resp = HttpResponse(
             200, Headers([("vary", "B, a"), ("vary", "b, C , a")])
         )
-        assert parse_vary(resp).fields == ("b", "a", "c")
+        assert vary_spec(resp.headers).fields == ("b", "a", "c")
 
     def test_no_duplicates_no_uppercase(self):
         resp = HttpResponse(200, Headers([("vary", "X-One, x-one, X-Two")]))
-        fields = parse_vary(resp).fields
+        fields = vary_spec(resp.headers).fields
         assert len(fields) == len(set(fields))
         assert all(f == f.lower() for f in fields)
 

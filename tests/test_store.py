@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import errno
+import os
 import random
+import warnings
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -128,6 +131,16 @@ class TestAppendAndLookup:
             assert got == expected
 
 
+def _short_second_body(data: bytes) -> bytes:
+    """Drop one byte of the second of three 30-byte bodies."""
+    second = data.index(b"x" * 30, data.index(b"x" * 30) + 30)
+    return data[:second] + data[second + 1 :]
+
+
+def _first_body_past_eof(data: bytes) -> bytes:
+    return data.replace(b'"body_length":30', b'"body_length":9999', 1)
+
+
 class TestDiskFormat:
     def _populate(self, store):
         ids = []
@@ -169,9 +182,14 @@ class TestDiskFormat:
     def test_append_after_reopen_continues_ids(self, tmp_path):
         with ArchiveStore.create(tmp_path / "arch") as store:
             self._populate(store)
+            original = list(store.iter_records())
         with ArchiveStore.open(tmp_path / "arch") as reopened:
-            new_id = reopened.append(make_record("https://c.example/", START))
+            added = make_record("https://c.example/", START)
+            new_id = reopened.append(added)
             assert new_id == 4
+            # frames are read on demand: old and new ids alike, no reopen
+            assert [reopened.get_record(r.id) for r in original] == original
+            assert reopened.get_record(4) == replace(added, id=4)
         with ArchiveStore.open(tmp_path / "arch") as again:
             assert len(again) == 4
 
@@ -252,6 +270,133 @@ class TestDiskFormat:
         records.write_bytes(records.read_bytes() * 2)
         with pytest.raises(StoreError, match="record id 1 already present"):
             ArchiveStore.open(tmp_path / "arch")
+
+    def test_failed_frame_sync_leaves_no_frame(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync_failing_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "Input/output error")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+        first = make_record("https://a.example/", START, lang="kn")
+        second = make_record("https://b.example/", START + timedelta(seconds=9))
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            with pytest.raises(StoreError, match="append of record 1 failed"):
+                store.append(first)
+            assert store.append(second) == 1
+        with ArchiveStore.open(tmp_path / "arch") as reopened:
+            assert list(reopened.iter_records()) == [replace(second, id=1)]
+            assert reopened.verify() == []
+
+    def test_appends_refused_when_a_failed_frame_cannot_be_cut_off(
+        self, tmp_path, monkeypatch
+    ):
+        def eio(*args):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            monkeypatch.setattr(os, "fsync", eio)
+            monkeypatch.setattr(os, "ftruncate", eio)
+            with pytest.raises(StoreError, match="could not be cut off"):
+                store.append(make_record("https://a.example/", START))
+            monkeypatch.undo()
+            with pytest.raises(StoreError, match="could not be cut off"):
+                store.append(make_record("https://b.example/", START))
+
+    def test_torn_final_frame_is_ignored_then_cut_off_at_every_offset(self, tmp_path):
+        directory = tmp_path / "arch"
+        bodies = [bytes(range(k, k + 40)) for k in range(2)]
+        # lines that start like frame headers but name no later frame
+        bodies.append(b'{"page":3}\n{"body_length":7,"id":3}\n{"body_length":}\n')
+        captures = [
+            make_record(f"https://a.example/{k}", START + timedelta(seconds=k), body=body)
+            for k, body in enumerate(bodies)
+        ]
+        with ArchiveStore.create(directory, CFG) as store:
+            store.append(captures[0])
+            store.append(captures[1])
+            two_frames = (directory / "records.dat").stat().st_size
+            store.append(captures[2])
+            stored = list(store.iter_records())
+        data = (directory / "records.dat").read_bytes()
+        id_known_from = data.index(b'"id":3,', two_frames) + len(b'"id":3,')
+        for cut in range(two_frames, len(data)):
+            (directory / "records.dat").write_bytes(data[:cut])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with ArchiveStore.open(directory) as store:
+                    assert list(store.iter_records()) == stored[:2]
+                    assert (directory / "records.dat").read_bytes() == data[:cut]
+                    assert store.append(captures[2]) == 3
+                with ArchiveStore.open(directory) as again:
+                    assert len(again) == 3 and again.get_record(3) == stored[2]
+            assert (directory / "records.dat").read_bytes() == data
+            messages = [str(w.message) for w in caught]
+            if cut == two_frames:
+                assert messages == []
+                continue
+            assert len(messages) == 1 and "torn final frame" in messages[0], (cut, messages)
+            if cut >= id_known_from:
+                assert "of record 3 " in messages[0]
+
+    @pytest.mark.parametrize("seen_of_third", [0, 25])
+    def test_frames_appended_during_open_are_left_alone(
+        self, tmp_path, monkeypatch, seen_of_third
+    ):
+        directory = tmp_path / "arch"
+        with ArchiveStore.create(directory, CFG) as store:
+            for k in range(4):
+                store.append(make_record(f"https://a.example/{k}", START, body=b"x" * 30))
+                if k == 1:
+                    two_frames = (directory / "records.dat").stat().st_size
+            stored = list(store.iter_records())
+        records = directory / "records.dat"
+        data = records.read_bytes()
+        seen = two_frames + seen_of_third
+        records.write_bytes(data[:seen])
+        real_fstat = os.fstat
+
+        def fstat_then_writer_appends(fd):
+            result = real_fstat(fd)
+            monkeypatch.setattr(os, "fstat", real_fstat)
+            with open(records, "ab") as writer:
+                writer.write(data[seen:])
+            return result
+
+        monkeypatch.setattr(os, "fstat", fstat_then_writer_appends)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ArchiveStore.open(directory) as store:
+                assert list(store.iter_records()) == stored[:2]
+        assert len(caught) == (1 if seen_of_third else 0)
+        assert records.read_bytes() == data
+        with ArchiveStore.open(directory) as reopened:
+            assert list(reopened.iter_records()) == stored
+
+    @pytest.mark.parametrize("corrupt", [_short_second_body, _first_body_past_eof])
+    def test_bad_frame_before_more_bytes_is_an_error(self, tmp_path, corrupt):
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            for k in range(3):
+                store.append(make_record(f"https://a.example/{k}", START, body=b"x" * 30))
+        records = tmp_path / "arch" / "records.dat"
+        records.write_bytes(corrupt(records.read_bytes()))
+        damaged = records.read_bytes()
+        with pytest.raises(StoreError, match="corrupt record frame"):
+            ArchiveStore.open(tmp_path / "arch")
+        assert records.read_bytes() == damaged  # nothing truncated
+
+    def test_frame_changed_under_an_open_store_is_an_error(self, tmp_path):
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            store.append(make_record("https://a.example/", START))
+            store.append(make_record("https://b.example/", START))
+        with ArchiveStore.open(tmp_path / "arch") as store:
+            (tmp_path / "arch" / "records.dat").write_bytes(b"")
+            with pytest.raises(StoreError, match="is not record 2"):
+                store.get_record(2)
 
     def test_random_archives_round_trip(self, tmp_path):
         rng = random.Random(6006)
