@@ -33,7 +33,6 @@ from .origin import SiteConfig, alternate_links, handle, negotiate_language
 from .replay import (
     CompositeMemento,
     ReplayMode,
-    RequestContext,
     reconstruct_composite,
     select_memento,
 )

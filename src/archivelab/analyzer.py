@@ -97,6 +97,17 @@ class LanguageDistribution:
             "total": self.total,
         }
 
+    def to_text(self, label: str | None = None) -> str:
+        """A summary line, then one row per language, most captures first."""
+        prefix = f"[{label}] " if label is not None else ""
+        lines = [
+            f"  {prefix}captures={self.total} modal={self.modal()} "
+            f"entropy={shannon_entropy(self.counts):.4f} bits"
+        ]
+        for tag, fraction in sorted(self.fractions().items(), key=lambda kv: (-kv[1], kv[0])):
+            lines.append(f"    {tag:10s} {self.counts[tag]:6d}  {fraction:7.2%}")
+        return "\n".join(lines)
+
 
 def distribution(store: ArchiveStore, uri: CanonicalUri | str) -> LanguageDistribution:
     """Language distribution over all captures of one URI."""
@@ -200,21 +211,11 @@ class BiasReport:
         }
 
     def to_text(self) -> str:
-        lines = [f"language distribution of {self.uri}"]
-        for label, dist in (
-            (self.label_a, self.distribution_a),
-            (self.label_b, self.distribution_b),
-        ):
-            entropy = shannon_entropy(dist.counts)
-            lines.append(
-                f"  [{label}] captures={dist.total} modal={dist.modal()} "
-                f"entropy={entropy:.4f} bits"
-            )
-            for tag, fraction in sorted(
-                dist.fractions().items(), key=lambda kv: (-kv[1], kv[0])
-            ):
-                lines.append(f"    {tag:10s} {dist.counts[tag]:6d}  {fraction:7.2%}")
-        return "\n".join(lines) + "\n"
+        return (
+            f"language distribution of {self.uri}\n"
+            f"{self.distribution_a.to_text(self.label_a)}\n"
+            f"{self.distribution_b.to_text(self.label_b)}\n"
+        )
 
 
 def bias_report(

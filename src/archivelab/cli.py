@@ -15,19 +15,19 @@ import sys
 from datetime import timedelta
 from pathlib import Path
 
-from .analyzer import bias_report, detect_violations, distribution, shannon_entropy
-from .cookiejar import JarPolicy, import_netscape
+from .analyzer import bias_report, detect_violations, distribution
+from .cookiejar import CookieJar, JarPolicy, import_netscape
 from .crawler import CrawlPolicy, crawl
 from .demo import DemoPlan, run_demo
-from .http_core import canonicalize, parse_timestamp14
+from .http_core import Headers, canonicalize, parse_timestamp14
 from .origin import SiteConfig, fetch_fn, load_site_config, make_origin_server
 from .replay import (
     FALLBACK_NEAREST_ANY,
     FALLBACK_NOT_FOUND,
     ReplayMode,
-    RequestContext,
     make_replay_server,
     reconstruct_composite,
+    replay_headers,
 )
 from .store import ArchiveStore, VariantConfig
 
@@ -84,16 +84,12 @@ def _replay_mode(args: argparse.Namespace) -> ReplayMode:
     return ReplayMode.variant_aware(fallback)
 
 
-def _context_from_args(args: argparse.Namespace) -> RequestContext:
-    lang = _cfg(args, "lang", None)
-    if lang:
-        return RequestContext.with_cookies([("lang", lang)])
+def _request_cookie_jar(args: argparse.Namespace) -> CookieJar | None:
+    """The --request-cookies file as a jar, or None without one."""
     cookie_file = _cfg(args, "request_cookies", None)
-    if cookie_file:
-        jar = import_netscape(Path(cookie_file).read_text(encoding="utf-8"))
-        pairs = [(c.name, c.value) for c in jar.entries()]
-        return RequestContext.with_cookies(pairs)
-    return RequestContext.empty()
+    if not cookie_file:
+        return None
+    return import_netscape(Path(cookie_file).read_text(encoding="utf-8"))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -151,10 +147,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     store = ArchiveStore.open(args.archive)
     mode = _replay_mode(args)
     port = int(_cfg(args, "port", 8081))
-    base_jar = None
-    cookie_file = _cfg(args, "request_cookies", None)
-    if cookie_file:
-        base_jar = import_netscape(Path(cookie_file).read_text(encoding="utf-8"))
+    base_jar = _request_cookie_jar(args)
     with make_replay_server(store, mode, port, base_jar=base_jar) as server:
         print(
             f"replaying {len(store)} captures ({mode.kind}) on "
@@ -184,16 +177,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if fmt == "json":
                 output = json.dumps({"uri": dist.uri, **dist.to_json()}, indent=2)
             else:
-                lines = [
-                    f"language distribution of {dist.uri}",
-                    f"  captures={dist.total} modal={dist.modal()} "
-                    f"entropy={shannon_entropy(dist.counts):.4f} bits",
-                ]
-                for tag, count in sorted(
-                    dist.counts.items(), key=lambda kv: (-kv[1], kv[0])
-                ):
-                    lines.append(f"    {tag:10s} {count:6d}")
-                output = "\n".join(lines)
+                output = f"language distribution of {dist.uri}\n{dist.to_text()}"
     print(output)
     return 0
 
@@ -203,10 +187,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     uri = canonicalize(args.uri)
     target = parse_timestamp14(str(args.timestamp))
     mode = _replay_mode(args)
-    ctx = _context_from_args(args)
+    lang = _cfg(args, "lang", None)
+    request = Headers([("cookie", f"lang={lang}")] if lang else [])
+    request = replay_headers(request, uri, target, _request_cookie_jar(args))
     fmt = _cfg(args, "format", "text")
     with ArchiveStore.open(archive) as store:
-        composite = reconstruct_composite(store, uri, target, mode, ctx)
+        composite = reconstruct_composite(store, uri, target, mode, request)
         if composite is None:
             raise RuntimeError(f"no capture of {uri} to use as composite root")
         report = detect_violations(composite)
@@ -323,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["baseline", "variant"])
     p.add_argument("--fallback", choices=sorted(_FALLBACKS))
     p.add_argument("--lang", help="shorthand for a 'lang' request cookie")
-    p.add_argument("--request-cookies")
+    p.add_argument("--request-cookies",
+                   help="Netscape cookie file of default request cookies")
     p.add_argument("--format", choices=["text", "json"])
 
     p = add("demo", cmd_demo, "run the full bias-and-fix experiment")

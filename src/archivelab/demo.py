@@ -21,8 +21,9 @@ from pathlib import Path
 from .analyzer import CONSISTENT, DEFACED, bias_report, detect_violations, distribution, shannon_entropy
 from .cookiejar import JarPolicy
 from .crawler import CrawlPolicy, crawl, scripted_crawl
+from .http_core import Headers
 from .origin import SiteConfig, fetch_fn
-from .replay import ReplayMode, RequestContext, reconstruct_composite
+from .replay import ReplayMode, reconstruct_composite
 from .store import ArchiveStore, VariantConfig
 
 __all__ = ["DemoPlan", "DemoResult", "run_demo", "scenario_schedule"]
@@ -166,7 +167,7 @@ def run_demo(plan: DemoPlan) -> DemoResult:
                 root_uri,
                 root_capture_time,
                 ReplayMode.variant_aware(),
-                RequestContext.with_cookies([("lang", root_lang)]),
+                Headers([("cookie", f"lang={root_lang}")]),
             )
             if baseline is None or variant is None:
                 raise RuntimeError("scenario root capture could not be selected")

@@ -1,8 +1,10 @@
 """Minimal HTTP message model and header parsers shared by the whole pipeline.
 
-Everything here is a pure function over immutable values: requests,
-responses, cookies, canonical URIs, and the parsers for Set-Cookie, Cookie,
-Vary, and Accept-Language. No I/O, no clocks; callers pass `now` explicitly.
+Everything here but `make_listener` is a pure function over immutable
+values: requests, responses, cookies, canonical URIs, and the parsers for
+Set-Cookie, Cookie, Vary, and Accept-Language. No clocks; callers pass `now`
+explicitly. `make_listener` is the one TCP listener factory, shared by the
+origin and replay servers.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "format_timestamp14",
     "parse_timestamp14",
     "ensure_utc",
+    "make_listener",
 ]
 
 UTC = timezone.utc
@@ -568,3 +572,24 @@ def parse_accept_language(header_value: str) -> list[tuple[str, float]]:
             entries.append((tag.lower(), q))
     entries.sort(key=lambda item: -item[1])
     return entries
+
+
+# --- listener ---------------------------------------------------------------
+
+
+def make_listener(
+    handler: type[BaseHTTPRequestHandler], port: int, **attributes
+) -> ThreadingHTTPServer:
+    """Build (but do not start) a threaded listener on 127.0.0.1:port.
+
+    Port 0 picks a free port. Each listener gets its own subclass of
+    `handler` carrying `attributes` as class attributes, with request
+    logging silenced.
+    """
+    name = handler.__name__.lstrip("_")
+    subclass = type(name, (handler,), {**attributes, "log_message": _no_log})
+    return ThreadingHTTPServer(("127.0.0.1", port), subclass)
+
+
+def _no_log(self, fmt: str, *args) -> None:
+    pass

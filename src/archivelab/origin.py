@@ -25,6 +25,7 @@ from .http_core import (
     HttpRequest,
     HttpResponse,
     canonicalize,
+    make_listener,
     parse_accept_language,
     parse_cookie_header,
 )
@@ -217,12 +218,9 @@ def alternate_links(page: PageModel, site: SiteConfig) -> list[str]:
 
 
 def _render_timeline(page: PageModel, site: SiteConfig, lang: str) -> str:
-    base = site.base() + page.uri_path
     alt_lines = [
-        f'<link rel="alternate" hreflang="x-default" href="{base}">'
-    ] + [
-        f'<link rel="alternate" hreflang="{tag}" href="{base}?lang={tag}">'
-        for tag in site.languages
+        f'<link rel="alternate" hreflang="{tag}" href="{href}">'
+        for tag, href in zip(("x-default",) + site.languages, alternate_links(page, site))
     ]
     fragments = []
     siblings = []
@@ -336,11 +334,7 @@ class _OriginHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(response.body)
 
-    def log_message(self, fmt: str, *args) -> None:
-        pass  # keep test output quiet
-
 
 def make_origin_server(site: SiteConfig, port: int) -> ThreadingHTTPServer:
     """Build (but do not start) the TCP listener; port 0 picks a free port."""
-    handler = type("OriginHandler", (_OriginHandler,), {"site": site})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return make_listener(_OriginHandler, port, site=site)

@@ -6,8 +6,15 @@ Two selection modes:
   capture nearest the target datetime, keyed on canonical URI alone. The
   replaying user's request headers are ignored entirely.
 * ``variant_aware`` first restricts candidates to captures whose stored
-  variant key is consistent with the incoming request, then picks the
-  nearest of those; an empty restricted set falls back per the mode.
+  variant key the request's headers reproduce, then picks the nearest of
+  those; an empty restricted set falls back per the mode. The request's
+  values are always computed under the store's own `VariantConfig` (the
+  one recorded in ``meta.json``), the config the stored keys were made with.
+
+A request is the replaying user's `Headers`. `replay_headers` adds the
+cookies of a cookie file (a jar) that are in scope for the URI and
+unexpired, and the request's own cookies win; the replay listener and
+``archivelab detect`` both build their requests with it.
 
 Composite reconstruction never touches the live web: parts come from the
 store or are reported missing.
@@ -15,11 +22,10 @@ store or are reported missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable
 
 from .cookiejar import CookieJar
 from .crawler import extract_fragment_refs
@@ -30,10 +36,11 @@ from .http_core import (
     canonicalize,
     ensure_utc,
     format_cookie_header,
+    make_listener,
     parse_cookie_header,
     parse_timestamp14,
 )
-from .store import ArchiveRecord, ArchiveStore, VariantConfig, variant_matches
+from .store import ArchiveRecord, ArchiveStore, variant_matches
 
 __all__ = [
     "BASELINE",
@@ -41,8 +48,8 @@ __all__ = [
     "FALLBACK_NEAREST_ANY",
     "FALLBACK_NOT_FOUND",
     "ReplayMode",
-    "RequestContext",
     "CompositeMemento",
+    "replay_headers",
     "select_memento",
     "reconstruct_composite",
     "make_replay_server",
@@ -77,21 +84,6 @@ class ReplayMode:
 
 
 @dataclass(frozen=True)
-class RequestContext:
-    """The replaying user's request headers (Cookie included)."""
-
-    headers: Headers = field(default_factory=Headers)
-
-    @classmethod
-    def empty(cls) -> "RequestContext":
-        return cls()
-
-    @classmethod
-    def with_cookies(cls, pairs: Iterable[tuple[str, str]]) -> "RequestContext":
-        return cls(Headers([("cookie", format_cookie_header(pairs))]))
-
-
-@dataclass(frozen=True)
 class CompositeMemento:
     """A selected root capture plus the independently selected captures of
     its embedded resources (None where the archive has no candidate)."""
@@ -106,20 +98,19 @@ def select_memento(
     uri: CanonicalUri | str,
     target: datetime,
     mode: ReplayMode,
-    ctx: RequestContext | None = None,
-    cfg: VariantConfig | None = None,
+    request_headers: Headers | None = None,
 ) -> ArchiveRecord | None:
     """Select the capture of `uri` to replay for `target`, or None.
 
     Baseline: nearest |datetime - target| over all captures, ties toward the
-    earlier datetime then the smaller id; the context never changes the
-    result. Variant-aware: same rule over the captures whose variant key the
-    context reproduces, falling back per mode when none match.
+    earlier datetime then the smaller id; the request headers never change
+    the result. Variant-aware: same rule over the captures whose variant key
+    the request headers reproduce under the store's config, falling back
+    per mode when none match.
     """
     entry = None
     if mode.kind == VARIANT_AWARE:
-        ctx = ctx if ctx is not None else RequestContext.empty()
-        entry = store.nearest(uri, target, ctx.headers, cfg)
+        entry = store.nearest(uri, target, request_headers or Headers())
         if entry is None and mode.fallback == FALLBACK_NOT_FOUND:
             return None
     if entry is None:
@@ -132,31 +123,55 @@ def reconstruct_composite(
     uri: CanonicalUri | str,
     target: datetime,
     mode: ReplayMode,
-    ctx: RequestContext | None = None,
-    cfg: VariantConfig | None = None,
+    request_headers: Headers | None = None,
 ) -> CompositeMemento | None:
     """Select a root capture and, independently, each embedded resource.
 
-    Parts are selected with the root's capture datetime as their target. In
-    baseline mode parts are selected with an empty context, mirroring replay
-    systems that key on URI and datetime alone. Returns None when no root
-    can be selected; missing parts are recorded as None, never fetched live.
+    Parts are selected with the root's capture datetime as their target and
+    the same request headers, which baseline selection ignores, mirroring
+    replay systems that key on URI and datetime alone. Returns None when no
+    root can be selected; missing parts are recorded as None, never fetched
+    live.
     """
-    root = select_memento(store, uri, target, mode, ctx, cfg)
+    root = select_memento(store, uri, target, mode, request_headers)
     if root is None:
         return None
-    part_ctx = RequestContext.empty() if mode.kind == BASELINE else ctx
     parts = []
     for part_uri in extract_fragment_refs(root.body, root.uri):
-        selected = select_memento(store, part_uri, root.datetime, mode, part_ctx, cfg)
+        selected = select_memento(store, part_uri, root.datetime, mode, request_headers)
         parts.append((str(part_uri), selected))
     return CompositeMemento(root, tuple(parts), ensure_utc(target))
+
+
+def replay_headers(
+    request_headers: Headers,
+    uri: CanonicalUri,
+    now: datetime,
+    jar: CookieJar | None = None,
+) -> Headers:
+    """The replaying user's request for `uri`, with `jar`'s cookies as defaults.
+
+    The jar's cookies that are in scope for `uri` and unexpired at `now`
+    (RFC 6265 §5.4) join the request in one more Cookie header; a cookie
+    whose name the request already carries is left out, so the request's
+    own cookies win.
+    """
+    if jar is None:
+        return request_headers
+    present = {
+        name
+        for raw in request_headers.get_all("cookie")
+        for name, _ in parse_cookie_header(raw)
+    }
+    extra = [(name, value) for name, value in jar.cookies_for(uri, now) if name not in present]
+    if not extra:
+        return request_headers
+    return Headers([*request_headers, ("cookie", format_cookie_header(extra))])
 
 
 class _ReplayHandler(BaseHTTPRequestHandler):
     store: ArchiveStore
     mode: ReplayMode
-    cfg: VariantConfig
     base_jar: CookieJar | None
 
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
@@ -175,8 +190,8 @@ class _ReplayHandler(BaseHTTPRequestHandler):
             self.send_error(400, "malformed archived URI")
             return
 
-        ctx = self._context(uri, target)
-        record = select_memento(self.store, uri, target, self.mode, ctx, self.cfg)
+        request = replay_headers(Headers(self.headers.items()), uri, target, self.base_jar)
+        record = select_memento(self.store, uri, target, self.mode, request)
         if record is None:
             self.send_error(404, "no matching capture")
             return
@@ -194,40 +209,18 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         self.send_header("memento-datetime", format_datetime(record.datetime, usegmt=True))
         self.send_header("x-archive-variant", record.variant_key.encode())
         if self.mode.kind == VARIANT_AWARE and not variant_matches(
-            record.variant_key, ctx.headers, self.cfg
+            record.variant_key, request, self.store.variant_config
         ):
             self.send_header("x-archive-fallback", "variant-mismatch")
         self.send_header("content-length", str(len(record.body)))
         self.end_headers()
         self.wfile.write(record.body)
 
-    def _context(self, uri: CanonicalUri, now: datetime) -> RequestContext:
-        """Incoming request headers, with cookie-file cookies as defaults."""
-        pairs = list(self.headers.items())
-        if self.base_jar is not None:
-            present = {
-                name
-                for raw in self.headers.get_all("Cookie") or []
-                for name, _ in parse_cookie_header(raw)
-            }
-            extra = [
-                (name, value)
-                for name, value in self.base_jar.cookies_for(uri, now)
-                if name not in present
-            ]
-            if extra:
-                pairs.append(("cookie", format_cookie_header(extra)))
-        return RequestContext(Headers(pairs))
-
-    def log_message(self, fmt: str, *args) -> None:
-        pass
-
 
 def make_replay_server(
     store: ArchiveStore,
     mode: ReplayMode,
     port: int,
-    cfg: VariantConfig | None = None,
     base_jar: CookieJar | None = None,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the replay listener on 127.0.0.1:port.
@@ -236,14 +229,4 @@ def make_replay_server(
     store snapshot. base_jar supplies default cookies for requests that do
     not carry their own (the --request-cookies CLI path).
     """
-    handler = type(
-        "ReplayHandler",
-        (_ReplayHandler,),
-        {
-            "store": store,
-            "mode": mode,
-            "cfg": cfg if cfg is not None else store.variant_config,
-            "base_jar": base_jar,
-        },
-    )
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return make_listener(_ReplayHandler, port, store=store, mode=mode, base_jar=base_jar)

@@ -578,15 +578,15 @@ class ArchiveStore:
         uri: CanonicalUri | str,
         target: datetime,
         request_headers: Headers | None = None,
-        cfg: VariantConfig | None = None,
     ) -> IndexEntry | None:
         """The capture of `uri` nearest `target`, or None.
 
         Nearest means least |datetime - target|, then the earlier datetime,
         then the smaller id. With `request_headers`, only captures whose
-        variant key those headers reproduce under `cfg` (default: the
-        store's) are candidates. The request's value for each dimension is
-        computed once per call, then each group is found by its key.
+        variant key those headers reproduce under the store's
+        `variant_config` are candidates. The request's value for each
+        dimension is computed once per call, then each group is found by its
+        key.
         """
         index = self._by_uri.get(str(uri))
         if index is None:
@@ -594,7 +594,7 @@ class ArchiveStore:
         target = ensure_utc(target)
         if request_headers is None:
             return _nearest(index.entries, target)
-        cfg = cfg if cfg is not None else self.variant_config
+        cfg = self.variant_config
         values: dict[str, str] = {}
         candidates = []
         for dimensions, by_key in index.groups.items():

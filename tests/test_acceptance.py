@@ -28,7 +28,6 @@ from archivelab.origin import SiteConfig, fetch_fn, handle
 from archivelab.replay import (
     FALLBACK_NOT_FOUND,
     ReplayMode,
-    RequestContext,
     reconstruct_composite,
     select_memento,
 )
@@ -159,7 +158,7 @@ def test_criterion_4_violation_round_trip():
             ROOT,
             target,
             ReplayMode.variant_aware(),  # fallback=nearest_any
-            RequestContext.with_cookies([("lang", baseline_report.root_language)]),
+            Headers([("cookie", f"lang={baseline_report.root_language}")]),
         )
         variant_report = detect_violations(variant)
         assert variant_report.verdict == CONSISTENT
@@ -181,19 +180,19 @@ def _random_selection_case(rng: random.Random):
         )
     uri = rng.choice(uris)
     target = START + timedelta(seconds=rng.randrange(-320, 320))
-    ctx = RequestContext(
+    headers = (
         Headers([("cookie", rng.choice(["lang=kn", "lang=en", "lang=ur", "_s=2"]))])
         if rng.random() < 0.85
         else Headers()
     )
-    return store, uri, target, ctx
+    return store, uri, target, headers
 
 
-def _oracle_select(store, uri, target, mode, ctx):
+def _oracle_select(store, uri, target, mode, headers):
     candidates = [r for r in store.iter_records() if str(r.uri) == str(uri)]
     if mode.kind == "variant_aware":
         matching = [
-            r for r in candidates if variant_matches(r.variant_key, ctx.headers, CFG)
+            r for r in candidates if variant_matches(r.variant_key, headers, CFG)
         ]
         if matching:
             candidates = matching
@@ -211,14 +210,14 @@ def test_criterion_5_selection_oracle():
         rng = random.Random(20190401)
         mismatches = 0
         for _ in range(1000):
-            store, uri, target, ctx = _random_selection_case(rng)
+            store, uri, target, headers = _random_selection_case(rng)
             for mode in (
                 ReplayMode.baseline(),
                 ReplayMode.variant_aware(),
                 ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
             ):
-                got = select_memento(store, uri, target, mode, ctx, CFG)
-                expected = _oracle_select(store, uri, target, mode, ctx)
+                got = select_memento(store, uri, target, mode, headers)
+                expected = _oracle_select(store, uri, target, mode, headers)
                 got_id = None if got is None else got.id
                 expected_id = None if expected is None else expected.id
                 if got_id != expected_id:

@@ -134,6 +134,14 @@ class TestPipeline:
         assert payload["modal"] == "kn"  # faithful crawl is biased
 
         code = main(
+            ["analyze", "--archive", str(tmp_path / "arch"), "--uri", "https://twitter.com/"]
+        )
+        assert code == 0
+        text = capsys.readouterr().out.splitlines()
+        assert text[0] == "language distribution of https://twitter.com/"
+        assert text[2].split()[0] == "kn" and text[2].endswith("%")
+
+        code = main(
             [
                 "detect",
                 "--archive", str(tmp_path / "arch"),
@@ -229,6 +237,63 @@ class TestPipeline:
             assert first.request_headers.get("cookie") == "lang=ur"
         # jar was written back and the sticky cookie evolved with the crawl
         assert "lang" in cookie_file.read_text(encoding="utf-8")
+
+
+class TestDetectRequestCookies:
+    """`detect --request-cookies` sends only the rows in scope and unexpired."""
+
+    def _detect(self, tmp_path, capsys, *extra):
+        code = main(
+            [
+                "detect",
+                "--archive", str(tmp_path / "arch"),
+                "--uri", "https://twitter.com/",
+                "--timestamp", "20190101000030",
+                "--mode", "variant",
+                "--fallback", "not-found",
+                "--format", "json",
+                *extra,
+            ]
+        )
+        return code, capsys.readouterr().out
+
+    def _cookie_file(self, tmp_path, row):
+        path = tmp_path / "cookies.txt"
+        path.write_text(f"# Netscape HTTP Cookie File\n{row}\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "other.example\tFALSE\t/\tFALSE\t0\tlang\tur",
+            "twitter.com\tFALSE\t/\tFALSE\t946684800\tlang\tur",  # expired in 2000
+        ],
+        ids=["out-of-scope", "expired"],
+    )
+    def test_unsent_row_leaves_the_no_file_verdict(self, tmp_path, capsys, row):
+        assert _crawl(tmp_path) == 0
+        capsys.readouterr()
+        code, out = self._detect(tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out)["root_language"] == "en"
+        cookies = self._cookie_file(tmp_path, row)
+        assert self._detect(tmp_path, capsys, "--request-cookies", cookies) == (code, out)
+
+    def test_in_scope_row_is_sent(self, tmp_path, capsys):
+        assert _crawl(tmp_path) == 0
+        capsys.readouterr()
+        cookies = self._cookie_file(tmp_path, "twitter.com\tFALSE\t/\tFALSE\t0\tlang\tkn")
+        code, out = self._detect(tmp_path, capsys, "--request-cookies", cookies)
+        assert code == 0
+        assert json.loads(out)["root_language"] == "kn"
+
+    def test_lang_wins_over_a_file_row(self, tmp_path, capsys):
+        assert _crawl(tmp_path) == 0
+        capsys.readouterr()
+        cookies = self._cookie_file(tmp_path, "twitter.com\tFALSE\t/\tFALSE\t0\tlang\tur")
+        code, out = self._detect(tmp_path, capsys, "--lang", "kn", "--request-cookies", cookies)
+        assert code == 0
+        assert json.loads(out)["root_language"] == "kn"
 
 
 class TestReplayCommand:

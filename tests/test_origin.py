@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -147,6 +148,13 @@ class TestAlternateLinks:
     def test_fragments_have_no_alternates(self, twitter_site):
         with pytest.raises(ValueError):
             alternate_links(twitter_site.page_for("/fragment/0/0"), twitter_site)
+
+    def test_rendered_hrefs_are_the_alternate_links(self, twitter_site):
+        for path in ("/", "/timeline/1"):
+            page = twitter_site.page_for(path)
+            body = handle(_get("https://twitter.com" + path), twitter_site).body.decode()
+            rendered = re.findall(r'<link rel="alternate" hreflang="[^"]+" href="([^"]+)">', body)
+            assert rendered == alternate_links(page, twitter_site)
 
 
 def test_site_config_json_round_trip(tmp_path):

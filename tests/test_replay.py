@@ -11,7 +11,6 @@ from archivelab.http_core import Headers
 from archivelab.replay import (
     FALLBACK_NOT_FOUND,
     ReplayMode,
-    RequestContext,
     make_replay_server,
     reconstruct_composite,
     select_memento,
@@ -23,12 +22,12 @@ CFG = VariantConfig()
 URI = "https://a.example/"
 
 
-def brute_force_select(store, uri, target, mode, ctx, cfg):
+def brute_force_select(store, uri, target, mode, headers, cfg):
     """Independent oracle: linear scan over every record in the store."""
     candidates = [r for r in store.iter_records() if str(r.uri) == str(uri)]
     if mode.kind == "variant_aware":
         matching = [
-            r for r in candidates if variant_matches(r.variant_key, ctx.headers, cfg)
+            r for r in candidates if variant_matches(r.variant_key, headers, cfg)
         ]
         if matching:
             candidates = matching
@@ -64,7 +63,7 @@ class TestSelectMemento:
             URI,
             START,
             ReplayMode.variant_aware(),
-            RequestContext.with_cookies([("lang", "en")]),
+            Headers([("cookie", "lang=en")]),
         )
         assert record.datetime == START + timedelta(seconds=30)
 
@@ -89,7 +88,7 @@ class TestSelectMemento:
             URI,
             START,
             ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
-            RequestContext.with_cookies([("lang", "ur")]),
+            Headers([("cookie", "lang=ur")]),
         )
         assert record is None
 
@@ -100,17 +99,27 @@ class TestSelectMemento:
             URI,
             START,
             ReplayMode.variant_aware(),
-            RequestContext.with_cookies([("lang", "ur")]),
+            Headers([("cookie", "lang=ur")]),
         )
         assert record.datetime == START - timedelta(seconds=10)
+
+    def test_selection_compares_under_the_store_config(self, tmp_path):
+        cfg = VariantConfig(content_cookie_names=frozenset({"lang", "_sess"}))
+        with ArchiveStore.create(tmp_path / "a", cfg) as store:
+            store.append(make_record(URI, START, request_cookie="lang=kn; _sess=1", cfg=cfg))
+        mode = ReplayMode.variant_aware(FALLBACK_NOT_FOUND)
+        with ArchiveStore.open(tmp_path / "a") as store:  # config read from meta.json
+            both = Headers([("cookie", "_sess=1; lang=kn; other=x")])
+            assert select_memento(store, URI, START, mode, both) is not None
+            assert select_memento(store, URI, START, mode, Headers([("cookie", "lang=kn")])) is None
 
     def test_baseline_ignores_context(self):
         rng = random.Random(3)
         store = _two_variant_store()
         expected = select_memento(store, URI, START, ReplayMode.baseline())
         for _ in range(25):
-            ctx = RequestContext.with_cookies([("lang", rng.choice(["en", "kn", "ur"]))])
-            assert select_memento(store, URI, START, ReplayMode.baseline(), ctx) == expected
+            headers = Headers([("cookie", "lang=" + rng.choice(["en", "kn", "ur"]))])
+            assert select_memento(store, URI, START, ReplayMode.baseline(), headers) == expected
 
 
 def _random_case(rng: random.Random):
@@ -130,7 +139,7 @@ def _random_case(rng: random.Random):
         )
     uri = rng.choice(uris)
     target = START + timedelta(seconds=rng.randrange(-150, 150))
-    ctx = RequestContext(
+    headers = (
         Headers([("cookie", rng.choice(["lang=kn", "lang=en", "lang=ur", "_sess=y"]))])
         if rng.random() < 0.8
         else Headers()
@@ -142,17 +151,12 @@ def _random_case(rng: random.Random):
             ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
         ]
     )
-    return store, uri, target, mode, ctx
+    return store, uri, target, mode, headers
 
 
 LARGE_URIS = ("https://big.example/", "https://big.example/fragment/0/0")
 # Keys without a Vary header are empty under this store config.
 LARGE_STORE_CFG = VariantConfig(implied_vary=())
-LARGE_QUERY_CFGS = (
-    LARGE_STORE_CFG,
-    CFG,
-    VariantConfig(content_cookie_names=frozenset({"lang", "_sess"})),
-)
 
 
 def _large_batch(rng: random.Random, count: int, span_s: int) -> list:
@@ -182,21 +186,16 @@ def _large_query(rng: random.Random, span_s: int):
     offset = timedelta(
         seconds=rng.randrange(-60, span_s + 60), microseconds=rng.choice([0, 500_000])
     )
-    return (
-        rng.choice(LARGE_URIS),
-        START + offset,
-        RequestContext(Headers(pairs)),
-        rng.choice(LARGE_QUERY_CFGS),
-    )
+    return rng.choice(LARGE_URIS), START + offset, Headers(pairs)
 
 
 class TestSelectionOracle:
     def test_matches_brute_force_on_random_cases(self):
         rng = random.Random(4242)
         for _ in range(300):
-            store, uri, target, mode, ctx = _random_case(rng)
-            got = select_memento(store, uri, target, mode, ctx, CFG)
-            expected = brute_force_select(store, uri, target, mode, ctx, CFG)
+            store, uri, target, mode, headers = _random_case(rng)
+            got = select_memento(store, uri, target, mode, headers)
+            expected = brute_force_select(store, uri, target, mode, headers, CFG)
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got.id == expected.id
@@ -225,11 +224,13 @@ class TestSelectionOracle:
             )
             matched_dimensions = set()
             for _ in range(30):
-                uri, target, ctx, cfg = _large_query(rng, span_s)
+                uri, target, headers = _large_query(rng, span_s)
                 for mode in modes:
-                    expected = brute_force_select(memory, uri, target, mode, ctx, cfg)
+                    expected = brute_force_select(
+                        memory, uri, target, mode, headers, LARGE_STORE_CFG
+                    )
                     for store in (memory, reopened):
-                        got = select_memento(store, uri, target, mode, ctx, cfg)
+                        got = select_memento(store, uri, target, mode, headers)
                         assert (got is None) == (expected is None)
                         if got is not None:
                             assert got.id == expected.id
@@ -243,12 +244,12 @@ class TestSelectionOracle:
     def test_variant_results_always_match_context(self):
         rng = random.Random(515)
         for _ in range(200):
-            store, uri, target, _, ctx = _random_case(rng)
+            store, uri, target, _, headers = _random_case(rng)
             record = select_memento(
-                store, uri, target, ReplayMode.variant_aware(FALLBACK_NOT_FOUND), ctx, CFG
+                store, uri, target, ReplayMode.variant_aware(FALLBACK_NOT_FOUND), headers
             )
             if record is not None:
-                assert variant_matches(record.variant_key, ctx.headers, CFG)
+                assert variant_matches(record.variant_key, headers, CFG)
 
 
 class TestComposite:
@@ -272,7 +273,7 @@ class TestComposite:
             root_uri,
             target,
             ReplayMode.variant_aware(),
-            RequestContext.with_cookies([("lang", "pt")]),
+            Headers([("cookie", "lang=pt")]),
         )
         languages = {
             rec.response_headers.get("content-language")
@@ -400,6 +401,18 @@ class TestHttpService:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_each_listener_has_its_own_handler_class(self):
+        stores = [_two_variant_store(), _two_variant_store()]
+        servers = [make_replay_server(store, ReplayMode.baseline(), 0) for store in stores]
+        try:
+            handlers = [server.RequestHandlerClass for server in servers]
+            assert handlers[0] is not handlers[1]
+            assert [handler.store for handler in handlers] == stores
+            assert handlers[0].protocol_version == "HTTP/1.0"
+        finally:
+            for server in servers:
+                server.server_close()
 
     def test_malformed_timestamp_400(self):
         server, port = self._serve(_two_variant_store(), ReplayMode.baseline())
