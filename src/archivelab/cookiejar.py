@@ -101,13 +101,16 @@ class CookieJar:
         then first stored (the sort is stable over insertion order).
 
         At most one entry per name is returned (the most specific match
-        wins), so the resulting Cookie header never repeats a name.
+        wins), so the resulting Cookie header never repeats a name. A
+        secure-only cookie goes to https URIs only (RFC 6265 §5.4 step 1).
         """
         now = ensure_utc(now)
+        secure = uri.scheme == "https"
         matching = [
             cookie
             for cookie in self._entries.values()
             if not cookie.expired(now)
+            and (secure or not cookie.secure)
             and _domain_match(cookie, uri.host)
             and _path_match(cookie.path, uri.path)
         ]

@@ -78,9 +78,12 @@ class Frontier:
         self._exempt = set(exempt)
 
     def add(self, uri: CanonicalUri) -> bool:
-        if uri in self._seen and uri not in self._exempt:
+        # One set operation for a new URI: add, and see if the set grew.
+        seen = self._seen
+        size = len(seen)
+        seen.add(uri)
+        if len(seen) == size and uri not in self._exempt:
             return False
-        self._seen.add(uri)
         self._queue.append(uri)
         return True
 
@@ -100,16 +103,24 @@ _TAG_RE = re.compile(r"<(link|a|iframe)\b[^>]*>", re.IGNORECASE)
 _HREF_RE = re.compile(r'\bhref="([^"]*)"', re.IGNORECASE)
 _SRC_RE = re.compile(r'\bsrc="([^"]*)"', re.IGNORECASE)
 _REL_ALTERNATE_RE = re.compile(r'\brel="alternate"', re.IGNORECASE)
+# An href with a scheme and a non-empty authority. urljoin returns such an
+# href as given, or rebuilt from its own parts when its scheme equals the
+# base's, so the joined link depends on the base only through its scheme.
+# The authority's first character may not be whitespace: urlsplit drops
+# tabs and newlines, so "http://\t/x", like "http:///x", takes the base's
+# host. A leading space (also stripped) fails the anchored scheme.
+_ABSOLUTE_HREF_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*://[^/?#\s]")
 
 
 def _scan_refs(
     body: bytes,
     base: CanonicalUri,
     tags: frozenset[str],
-    resolved: dict[str, CanonicalUri | None] | None = None,
+    resolved: dict[tuple[str, str], CanonicalUri | None] | None = None,
 ) -> list[CanonicalUri]:
     text = body.decode("utf-8", errors="replace")
     base_str = str(base)
+    scheme = base.scheme
     if resolved is None:
         resolved = {}
     found: list[CanonicalUri] = []
@@ -128,18 +139,16 @@ def _scan_refs(
             attr = _SRC_RE.search(markup)
         if attr is None:
             continue
+        href = attr.group(1)
+        key = (scheme if _ABSOLUTE_HREF_RE.match(href) else base_str, href)
         try:
-            absolute = urljoin(base_str, attr.group(1))
-        except ValueError:
-            continue
-        if absolute in resolved:
-            link = resolved[absolute]
-        else:
+            link = resolved[key]
+        except KeyError:
             try:
-                link = canonicalize(absolute)
+                link = canonicalize(urljoin(base_str, href))
             except (UriError, ValueError):
                 link = None
-            resolved[absolute] = link
+            resolved[key] = link
         if link is not None:
             found.append(link)
     return found
@@ -148,14 +157,16 @@ def _scan_refs(
 def extract_links(
     body: bytes,
     base: CanonicalUri,
-    resolved: dict[str, CanonicalUri | None] | None = None,
+    resolved: dict[tuple[str, str], CanonicalUri | None] | None = None,
 ) -> list[CanonicalUri]:
     """Outlinks of a page in document order: alternate links, anchors, and
     fragment references, resolved against `base` and canonicalized.
     Duplicates are preserved; the frontier dedups.
 
-    `resolved` memoizes canonicalization by absolute (joined) URI string,
-    None marking a rejected link; pass one dict to share it across pages.
+    `resolved` memoizes joining and canonicalization by raw href, None
+    marking a rejected link; pass one dict to share it across pages. Its
+    key is (base scheme, href) for an href with a scheme and an authority,
+    and (str(base), href) otherwise.
     """
     return _scan_refs(body, base, frozenset({"link", "a", "iframe"}), resolved)
 
@@ -227,15 +238,18 @@ def crawl(
         return []
     root = seed_uris[0]
     revisit = policy.revisit_root_every or 0
-    frontier = Frontier(exempt={root} if revisit else ())
+    exempt = {root} if revisit else set()
+    frontier = Frontier(exempt)
     for uri in seed_uris:
         frontier.add(uri)
 
-    # Memos for this crawl only: the link list of each page already scanned,
-    # keyed by (uri, body), and the canonical form of each absolute link.
-    # Root revisits mostly return a body scanned before.
-    page_links: dict[tuple[CanonicalUri, bytes], list[CanonicalUri]] = {}
-    resolved: dict[str, CanonicalUri | None] = {}
+    # Memos for this crawl only: the exempt links of each page already
+    # scanned, keyed by (uri, body), and each href's canonical link (see
+    # extract_links). A page's other links went to the frontier at its first
+    # scan and would be refused as seen, so a root revisit that returns a
+    # body scanned before re-adds only the exempt ones.
+    page_exempt: dict[tuple[CanonicalUri, bytes], list[CanonicalUri]] = {}
+    resolved: dict[tuple[str, str], CanonicalUri | None] = {}
     records: list[ArchiveRecord] = []
     dequeues = 0
     while frontier and len(records) < policy.max_pages:
@@ -247,9 +261,10 @@ def crawl(
         records.append(record)
         if record.response_status == 200:
             page = (uri, record.body)
-            links = page_links.get(page)
+            links = page_exempt.get(page)
             if links is None:
-                links = page_links[page] = extract_links(record.body, uri, resolved)
+                links = extract_links(record.body, uri, resolved)
+                page_exempt[page] = [link for link in links if link in exempt]
             for link in links:
                 frontier.add(link)
         if revisit and dequeues % revisit == 0:

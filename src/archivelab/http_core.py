@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 __all__ = [
     "UTC",
@@ -230,6 +230,9 @@ class CanonicalUri:
     serialized form stays whitespace-free (the archive index relies on it).
     This canonicalization is self-consistent but not byte-compatible with
     SURT-based CDX tooling.
+
+    The hash is computed on first use and kept on the instance, since
+    frontier and memo lookups hash the same links many times over.
     """
 
     scheme: str
@@ -237,6 +240,18 @@ class CanonicalUri:
     port: int | None
     path: str
     query: tuple[tuple[str, str], ...] = ()
+    _hash: ClassVar[int | None] = None
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.scheme, self.host, self.port, self.path, self.query))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict[str, object]:
+        # str hashes are salted per process, so a pickle leaves the hash out.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __str__(self) -> str:
         authority = self.host if self.port is None else f"{self.host}:{self.port}"

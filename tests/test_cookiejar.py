@@ -115,6 +115,12 @@ class TestCookiesFor:
         pairs = jar.cookies_for(canonicalize("https://twitter.com/a/x"), NOW)
         assert pairs == [("lang", "specific")]  # one entry per name
 
+    def test_secure_cookie_goes_to_https_only(self):
+        jar = CookieJar()
+        jar.store(_cookie(secure=True), NOW)
+        assert jar.cookies_for(TWITTER_ROOT, NOW) == [("lang", "ar")]
+        assert jar.cookies_for(canonicalize("http://twitter.com/"), NOW) == []
+
     def test_ttl_cap_invariant(self):
         # with max_ttl = d, nothing is ever emitted more than d after its store time
         rng = random.Random(11)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from datetime import timedelta
+from urllib.parse import urljoin
 
 import pytest
 
@@ -19,7 +20,7 @@ from archivelab.crawler import (
     extract_links,
     scripted_crawl,
 )
-from archivelab.http_core import Headers, HttpResponse, canonicalize
+from archivelab.http_core import Headers, HttpResponse, UriError, canonicalize
 from archivelab.origin import SiteConfig, fetch_fn, handle
 from archivelab.store import VariantConfig
 from conftest import START
@@ -73,6 +74,40 @@ class TestExtractLinks:
             "https://twitter.com/x/b/c",
             "https://twitter.com/alt",
         ]
+
+    def test_shared_memo_equals_direct_join(self):
+        # One memo across schemes, hosts, a port and a query. The hrefs
+        # include the cases a looser key gets wrong: "http:///x" takes the
+        # base's host, and urlsplit strips leading spaces and drops tabs
+        # and newlines anywhere.
+        bases = [
+            canonicalize(u)
+            for u in (
+                "https://a.example/",
+                "https://a.example/d/e",
+                "http://a.example/d/",
+                "https://b.example:8443/d/e?lang=fr",
+                "http://b.example/",
+                "https://a.example/d/e?lang=kn",
+            )
+        ]
+        hrefs = [
+            "/a", "a/b", "../c", "?lang=kn", "#f", "", "//c.example/z",
+            "http:///x", "https:///x", "HTTPS://A.example/Q", "http://A.example/Q",
+            "ftp://h/x", "mailto:x@y", "https://c.ex\tample/p", "https://c.example/p\nq",
+            "http://\t/x", "https://\nc.example/", "a/\tb", " https://c.example/", " /a",
+            "https://bad host/", "https://[::1/", "https://user@a.example/",
+        ]
+        memo: dict = {}
+        for order in (bases, bases[::-1]):
+            for base in order:
+                for href in hrefs:
+                    try:
+                        expected = [canonicalize(urljoin(str(base), href))]
+                    except (UriError, ValueError):
+                        expected = []
+                    body = f'<a href="{href}">x</a>'.encode()
+                    assert extract_links(body, base, memo) == expected, (str(base), href)
 
 
 class TestFrontier:
@@ -227,6 +262,56 @@ class TestCrawlMemo:
         assert set(scanned.values()) == {1}
         assert set(scanned) == set(pages)
         assert len(scanned) < len(pages)  # root revisits repeat bodies
+
+    def test_link_work_done_once(self, monkeypatch):
+        # A 500-page sticky crawl of the default site: each memo key is
+        # joined once, and a page-memo hit adds only the exempt root.
+        site = SiteConfig()
+        root = canonicalize(site.base() + "/")
+        events = []
+        memos = []
+        real_join, real_add, real_extract = crawler.urljoin, Frontier.add, crawler.extract_links
+        real_fetch = fetch_fn(site)
+
+        def join(base, href):
+            events.append(("join", base, href))
+            return real_join(base, href)
+
+        def add(self, uri):
+            events.append(("add", uri))
+            return real_add(self, uri)
+
+        def extract(body, base, resolved):
+            memos.append(resolved)
+            events.append(("scan",))
+            return real_extract(body, base, resolved)
+
+        def fetch(request):
+            events.append(("fetch",))
+            return real_fetch(request)
+
+        monkeypatch.setattr(crawler, "urljoin", join)
+        monkeypatch.setattr(Frontier, "add", add)
+        monkeypatch.setattr(crawler, "extract_links", extract)
+        policy = CrawlPolicy(
+            jar_policy=JarPolicy(max_ttl=None), max_pages=500, revisit_root_every=5
+        )
+        records = crawl([str(root)], fetch, policy, START)
+        assert len(records) == 500
+
+        joins = [e[1:] for e in events if e[0] == "join"]
+        assert len({id(m) for m in memos}) == 1
+        assert len(joins) == len(set(joins)) == len(memos[0])
+
+        pages = []  # the events of each fetch, up to the next one
+        for event in events:
+            if event[0] == "fetch":
+                pages.append([])
+            elif pages:
+                pages[-1].append(event)
+        hits = [page for page in pages if ("scan",) not in page]
+        assert len(hits) > 300
+        assert {e[1] for page in hits for e in page if e[0] == "add"} == {root}
 
 
 class TestBiasMechanism:

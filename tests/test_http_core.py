@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+from archivelab import http_core
 from archivelab.http_core import (
+    CanonicalUri,
     Headers,
     HttpRequest,
     HttpResponse,
@@ -291,6 +298,33 @@ class TestCanonicalize:
             uri = _random_uri(rng)
             first = canonicalize(uri)
             assert canonicalize(str(first)) == first
+
+    def test_cached_hash_stays_out_of_repr_and_pickles(self):
+        uri = canonicalize("https://twitter.com/a?lang=kn")
+        assert hash(uri) == hash(uri) == hash(canonicalize(str(uri)))
+        assert repr(uri) == (
+            "CanonicalUri(scheme='https', host='twitter.com', port=None, path='/a', "
+            "query=(('lang', 'kn'),))"
+        )
+        # str hashes are salted per process: a URI hashed and pickled under
+        # another salt must still be found here.
+        salt = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys; from archivelab.http_core import canonicalize; "
+            "u = canonicalize('https://twitter.com/a?lang=kn'); hash(u); "
+            "sys.stdout.buffer.write(pickle.dumps(u))"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(http_core.__file__).resolve().parents[1]),
+            "PYTHONHASHSEED": salt,
+        }
+        pickled = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, check=True
+        ).stdout
+        loaded = pickle.loads(pickled)
+        assert isinstance(loaded, CanonicalUri) and loaded == uri
+        assert loaded in {uri}
 
 
 def _random_uri(rng: random.Random) -> str:

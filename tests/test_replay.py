@@ -7,12 +7,14 @@ import random
 import threading
 from datetime import timedelta
 
-from archivelab.http_core import Headers
+from archivelab.cookiejar import import_netscape
+from archivelab.http_core import Headers, canonicalize
 from archivelab.replay import (
     FALLBACK_NOT_FOUND,
     ReplayMode,
     make_replay_server,
     reconstruct_composite,
+    replay_headers,
     select_memento,
 )
 from archivelab.store import ArchiveStore, VariantConfig, variant_matches
@@ -330,6 +332,14 @@ class TestComposite:
         for _, rec in composite.parts:
             if rec is not None:
                 assert rec.id in stored_ids
+
+
+def test_replay_headers_keeps_secure_cookie_off_http():
+    jar = import_netscape("a.example\tFALSE\t/\tTRUE\t0\tlang\tkn\n")
+    request = Headers([("accept-language", "en")])
+    https = replay_headers(request, canonicalize("https://a.example/"), START, jar)
+    assert list(https) == [("accept-language", "en"), ("cookie", "lang=kn")]
+    assert replay_headers(request, canonicalize("http://a.example/"), START, jar) is request
 
 
 class TestHttpService:
