@@ -111,16 +111,20 @@ def cmd_serve_origin(args: argparse.Namespace) -> int:
 def cmd_crawl(args: argparse.Namespace) -> int:
     site = _site_from_args(args)
     seeds = _cfg(args, "seed", None) or [site.base() + "/"]
-    policy = CrawlPolicy(
-        jar_policy=JarPolicy(
-            max_ttl=_parse_ttl(_cfg(args, "cookie_max_ttl", "300")),
-            session_scoped=not bool(_cfg(args, "persist_cookies", False)),
-        ),
-        max_pages=int(_cfg(args, "max_pages", 100)),
-        revisit_root_every=int(_cfg(args, "revisit_root_every", 0)) or None,
-        clock_step=timedelta(seconds=float(_cfg(args, "clock_step", 1.0))),
-    )
-    start = parse_timestamp14(str(_cfg(args, "start", "20190101000000")))
+    try:
+        policy = CrawlPolicy(
+            jar_policy=JarPolicy(
+                max_ttl=_parse_ttl(_cfg(args, "cookie_max_ttl", "300")),
+                session_scoped=not bool(_cfg(args, "persist_cookies", False)),
+            ),
+            max_pages=int(_cfg(args, "max_pages", 100)),
+            revisit_root_every=int(_cfg(args, "revisit_root_every", 0)) or None,
+            clock_step=timedelta(seconds=float(_cfg(args, "clock_step", 1.0))),
+        )
+        start = parse_timestamp14(str(_cfg(args, "start", "20190101000000")))
+    except ValueError as exc:
+        print(f"archivelab crawl: usage error: {exc}", file=sys.stderr)
+        return 1
     cfg = _variant_config(args)
 
     jar = None

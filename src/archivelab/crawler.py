@@ -279,22 +279,20 @@ def scripted_crawl(
     jar_policy: JarPolicy,
     start: datetime,
     *,
-    clock_step: timedelta = timedelta(seconds=1),
     variant_config: VariantConfig | None = None,
-    jar: CookieJar | None = None,
 ) -> list[ArchiveRecord]:
-    """Fetch an explicit URI schedule in order, no frontier, no dedup.
+    """Fetch an explicit URI schedule in order, one synthetic second per
+    request, no frontier, no dedup.
 
     Cookies still flow through the jar between steps, which is what makes
     scripted capture schedules able to pin down cookie-dependent variants.
     """
     start = ensure_utc(start)
     cfg = variant_config if variant_config is not None else VariantConfig()
-    if jar is None:
-        jar = CookieJar(jar_policy)
+    jar = CookieJar(jar_policy)
     records: list[ArchiveRecord] = []
     for uri_str in uris:
-        now = start + len(records) * clock_step
+        now = start + timedelta(seconds=len(records))
         jar.prune(now)
         records.append(_fetch_one(fetch, canonicalize(uri_str), jar, now, cfg))
     jar.end_session()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .analyzer import CONSISTENT, DEFACED, bias_report, detect_violations, distribution, shannon_entropy
+from .analyzer import CONSISTENT, DEFACED, bias_report, detect_violations, shannon_entropy
 from .cookiejar import JarPolicy
 from .crawler import CrawlPolicy, crawl, scripted_crawl
 from .http_core import Headers
@@ -52,6 +52,8 @@ class DemoPlan:
     def __post_init__(self) -> None:
         if self.sessions < 1:
             raise ValueError("sessions must be >= 1")
+        if self.max_pages < 1:
+            raise ValueError("max_pages must be >= 1")
         if not self.policies:
             raise ValueError("policies must be nonempty")
         if self.site.resources_per_page < 1:
@@ -187,8 +189,7 @@ def run_demo(plan: DemoPlan) -> DemoResult:
                 and variant_report.verdict == CONSISTENT
                 and not variant_report.violating_parts
             )
-            faithful_dist = distribution(faithful_store, root_uri)
-            fixed_dist = distribution(fixed_store, root_uri)
+            faithful_dist, fixed_dist = bias.distribution_a, bias.distribution_b
             report = {
                 "seed": root_uri,
                 "sessions": plan.sessions,

@@ -191,8 +191,9 @@ class HttpResponse:
 class Cookie:
     """A stored cookie: name/value plus scope (domain, path) and expiry.
 
-    `expires_at` is None for session cookies. Secure/HttpOnly/SameSite are
-    retained for fidelity but never enforced (no TLS or script model here).
+    `expires_at` is None for session cookies. A `secure` cookie is sent to
+    https URIs only; HttpOnly and SameSite are not kept (there is no script
+    or cross-site model here).
     """
 
     name: str
@@ -203,8 +204,6 @@ class Cookie:
     expires_at: datetime | None
     created_at: datetime
     secure: bool = False
-    http_only: bool = False
-    same_site: str | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -424,7 +423,8 @@ def parse_set_cookie(
     is not an error: bad cookies are dropped, not raised. Domain defaults to
     the request host (host-only), path to the request path's directory. Max-Age
     takes precedence over Expires; already-elapsed expirations are clamped
-    to `now` so expiry never precedes creation.
+    to `now` so expiry never precedes creation. HttpOnly, SameSite and any
+    unknown attribute are accepted and ignored.
     """
     now = ensure_utc(now)
     segments = header_value.split(";")
@@ -442,8 +442,6 @@ def parse_set_cookie(
     expires: datetime | None = None
     max_age: int | None = None
     secure = False
-    http_only = False
-    same_site: str | None = None
 
     for segment in segments[1:]:
         attr, _, attr_value = segment.partition("=")
@@ -464,10 +462,6 @@ def parse_set_cookie(
             max_age = int(attr_value)
         elif attr == "secure":
             secure = True
-        elif attr == "httponly":
-            http_only = True
-        elif attr == "samesite" and attr_value:
-            same_site = attr_value.lower()
 
     if not host_only and not domain_match(request_uri.host, domain):
         return None
@@ -488,8 +482,6 @@ def parse_set_cookie(
         expires_at=expires_at,
         created_at=now,
         secure=secure,
-        http_only=http_only,
-        same_site=same_site,
     )
 
 

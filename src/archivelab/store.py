@@ -24,12 +24,11 @@ pair and stored; lookups never recompute them.
 `open` builds the in-memory index from the frame headers of `records.dat`
 alone, seeking past every body; a repeated frame id is a `StoreError`. It
 never writes: a torn final frame is left out of the index with a warning,
-and the next `append` cuts it off. A disk store keeps only each
-frame's offset and length and reads a record back with `os.pread` when
-`get_record` asks for it. Each URI's captures are indexed twice: one list of
-all entries in (datetime, id) order, and the same entries grouped by
-dimension tuple, then by variant key, each group in (datetime, id) order.
-`nearest` bisects them.
+and the next `append` cuts it off. The store keeps only each frame's offset
+and length and reads a record back with `os.pread` when `get_record` asks
+for it. Each URI's captures are indexed twice: one list of all entries in
+(datetime, id) order, and the same entries grouped by dimension tuple, then
+by variant key, each group in (datetime, id) order. `nearest` bisects them.
 """
 
 from __future__ import annotations
@@ -281,8 +280,8 @@ class _UriIndex:
 
 
 class _Frame(NamedTuple):
-    """Where a disk store's record lives in `records.dat`, plus the fields
-    `open` already parsed from its header."""
+    """Where a record lives in `records.dat`, plus the fields of its
+    header that the index already holds."""
 
     offset: int
     length: int
@@ -346,19 +345,17 @@ def _holds_later_frame(data: bytes, record_id: int) -> bool:
 class ArchiveStore:
     """Capture store: single writer, any number of readers.
 
-    A disk store fsyncs each frame of `records.dat` before `append` returns;
+    The store fsyncs each frame of `records.dat` before `append` returns;
     it writes and flushes each `index.cdxj` row, and fsyncs the index once,
     at `close()`. It keeps the index of every capture in memory but no
     record: `get_record` and `iter_records` read frames back through the
-    descriptor it appends with, which `close()` releases. An in-memory store
-    keeps its records.
+    descriptor it appends with, which `close()` releases.
     """
 
-    def __init__(self, directory: Path | None, variant_config: VariantConfig):
+    def __init__(self, directory: Path, variant_config: VariantConfig):
         self._directory = directory
         self.variant_config = variant_config
-        # id -> the record itself (in memory) or where its frame is (on disk)
-        self._records: dict[int, ArchiveRecord | _Frame] = {}
+        self._records: dict[int, _Frame] = {}  # id -> where its frame is
         self._by_uri: defaultdict[str, _UriIndex] = defaultdict(_UriIndex)
         self._next_id = 1
         self._size = 0  # bytes of complete frames in records.dat
@@ -369,10 +366,6 @@ class ArchiveStore:
         self._index_file = None
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def in_memory(cls, variant_config: VariantConfig | None = None) -> "ArchiveStore":
-        return cls(None, variant_config or VariantConfig())
 
     @classmethod
     def create(
@@ -410,7 +403,6 @@ class ArchiveStore:
         return store
 
     def _open_files(self) -> None:
-        assert self._directory is not None
         try:
             # appends and preads share one descriptor; unbuffered, so a failed
             # append leaves no bytes to flush later
@@ -432,7 +424,6 @@ class ArchiveStore:
         cuts it off; any other bad frame is a `StoreError`. The file is never
         changed here.
         """
-        assert self._directory is not None
         path = self._directory / RECORDS_NAME
         try:
             fh = open(path, "rb")
@@ -504,19 +495,16 @@ class ArchiveStore:
 
         The record's variant key must already be derived. Duplicate
         (uri, datetime, variant) captures are allowed: append-only means
-        append-only. On disk the capture is registered once its frame is
-        fsynced. A frame that fails to write or sync is cut off again, so
-        its id stays free; a failed index-row write still raises, but the
-        capture stays registered and its id is never reused.
+        append-only. The capture is registered once its frame is fsynced. A
+        frame that fails to write or sync is cut off again, so its id stays
+        free; a failed index-row write still raises, but the capture stays
+        registered and its id is never reused.
         """
         if record.id is None:
             record = replace(record, id=self._next_id)
         if record.id in self._records:
             raise StoreError(f"record id {record.id} already present")
         entry = IndexEntry(record.datetime, record.variant_key, record.id)
-        if self._directory is None:
-            self._register(str(record.uri), entry, record)
-            return record.id
         frame = _frame_header(record) + b"\n" + record.body + b"\n"
         self._write_frame(frame, record.id)
         self._register(str(record.uri), entry, _Frame(self._size, len(frame), record.uri, entry))
@@ -559,10 +547,10 @@ class ArchiveStore:
                 raise StoreError(self._refusal) from exc
             raise StoreError(f"append of record {record_id} failed: {exc}") from exc
 
-    def _register(self, uri: str, entry: IndexEntry, held: ArchiveRecord | _Frame) -> None:
+    def _register(self, uri: str, entry: IndexEntry, frame: _Frame) -> None:
         if entry.id in self._records:
             raise StoreError(f"record id {entry.id} already present")
-        self._records[entry.id] = held
+        self._records[entry.id] = frame
         self._by_uri[uri].add(entry)
         self._next_id = max(self._next_id, entry.id + 1)
 
@@ -607,15 +595,11 @@ class ArchiveStore:
         return _closest(candidates, target)
 
     def get_record(self, record_id: int) -> ArchiveRecord:
-        held = self._records.get(record_id)
-        if held is None:
+        """Read one record back from its frame, reusing the fields the
+        index already holds."""
+        frame = self._records.get(record_id)
+        if frame is None:
             raise StoreError(f"no record with id {record_id}")
-        if isinstance(held, ArchiveRecord):
-            return held
-        return self._read_frame(record_id, held)
-
-    def _read_frame(self, record_id: int, frame: _Frame) -> ArchiveRecord:
-        """Decode one frame, reusing the fields `open` already parsed."""
         if self._records_file is None:
             raise StoreError(f"archive at {self._directory} is closed")
         data = os.pread(self._records_file.fileno(), frame.length, frame.offset)
@@ -650,28 +634,27 @@ class ArchiveStore:
 
     def verify(self) -> list[str]:
         """Problems found by checking that each frame has exactly one
-        `index.cdxj` row, equal to the row it writes (in-memory stores have
-        none), and a variant key that re-derives from its header pair."""
+        `index.cdxj` row, equal to the row it writes, and a variant key that
+        re-derives from its header pair."""
         problems: list[str] = []
         indexed: set[int] = set()
-        if self._directory is not None:
-            with open(self._directory / INDEX_NAME, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    try:
-                        record_id = int(json.loads(line.split(" ", 2)[2])["id"])
-                    except (IndexError, KeyError, TypeError, ValueError):
-                        problems.append(f"index line {lineno} malformed: {line!r}")
-                        continue
-                    if record_id not in self._records:
-                        problems.append(f"index line {lineno} names missing record {record_id}")
-                    elif record_id in indexed:
-                        problems.append(f"index line {lineno} repeats record {record_id}")
-                    elif line != _index_line(self.get_record(record_id)):
-                        problems.append(f"index row for record {record_id} disagrees with its frame")
-                    indexed.add(record_id)
+        with open(self._directory / INDEX_NAME, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                try:
+                    record_id = int(json.loads(line.split(" ", 2)[2])["id"])
+                except (IndexError, KeyError, TypeError, ValueError):
+                    problems.append(f"index line {lineno} malformed: {line!r}")
+                    continue
+                if record_id not in self._records:
+                    problems.append(f"index line {lineno} names missing record {record_id}")
+                elif record_id in indexed:
+                    problems.append(f"index line {lineno} repeats record {record_id}")
+                elif line != _index_line(self.get_record(record_id)):
+                    problems.append(f"index row for record {record_id} disagrees with its frame")
+                indexed.add(record_id)
         for record in self.iter_records():
-            if self._directory is not None and record.id not in indexed:
+            if record.id not in indexed:
                 problems.append(f"record {record.id} missing from index")
             rederived = derive_variant_key(
                 record.request_headers, record.response_headers, self.variant_config

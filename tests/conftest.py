@@ -1,9 +1,12 @@
-"""Shared fixtures: the simulated site, a deterministic clock, and builders
-for the scripted capture schedule used by the replay and analyzer tests."""
+"""Shared fixtures: the simulated site, a deterministic clock, fresh
+archives under the case's temporary directory, and builders for the
+scripted capture schedule used by the replay and analyzer tests."""
 
 from __future__ import annotations
 
+import itertools
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,24 @@ def twitter_site() -> SiteConfig:
 @pytest.fixture
 def twitter_fetch(twitter_site):
     return fetch_fn(twitter_site)
+
+
+@pytest.fixture
+def new_store(tmp_path):
+    """Factory of empty archives, each in its own directory under `tmp_path`.
+    The case closes every store it makes, with `with`."""
+    names = itertools.count(1)
+
+    def make(cfg: VariantConfig | None = None) -> ArchiveStore:
+        return ArchiveStore.create(tmp_path / f"store-{next(names)}", cfg)
+
+    return make
+
+
+@pytest.fixture
+def no_fsync(monkeypatch):
+    """Skip the store's fsyncs, for cases whose subject is not durability."""
+    monkeypatch.setattr("archivelab.store.os.fsync", lambda fd: None)
 
 
 def make_record(
@@ -79,8 +100,9 @@ def make_record(
     )
 
 
-def build_defacement_store(site: SiteConfig):
-    """Scripted scenario store; returns (store, root uri, root capture time)."""
+def build_defacement_store(site: SiteConfig, directory: Path):
+    """Scripted scenario archive created at `directory`; returns (store, root
+    uri, root capture time). The caller closes the store."""
     cfg = VariantConfig()
     records = scripted_crawl(
         scenario_schedule(site, "pt", ["ur", "en"]),
@@ -89,7 +111,7 @@ def build_defacement_store(site: SiteConfig):
         START,
         variant_config=cfg,
     )
-    store = ArchiveStore.in_memory(cfg)
+    store = ArchiveStore.create(directory, cfg)
     for record in records:
         store.append(record)
     return store, site.base() + "/", records[1].datetime

@@ -116,23 +116,23 @@ def test_criterion_2_bias_reproduction():
         assert modal_tag == SITE.languages[-1] == "kn"
 
 
-def test_criterion_3_fix_efficacy():
+def test_criterion_3_fix_efficacy(tmp_path):
     """Zero-TTL crawl: every root capture is default-language; entropy 0. Budget 5s."""
     with criterion(3, "zero-TTL crawl removes the bias entirely", 5.0):
         policy = CrawlPolicy(
             jar_policy=JarPolicy(max_ttl=timedelta(0)), max_pages=120, revisit_root_every=5
         )
         records = crawl([ROOT], FETCH, policy, START)
-        store = ArchiveStore.in_memory(CFG)
-        for record in records:
-            store.append(record)
-        dist = distribution(store, ROOT)
+        with ArchiveStore.create(tmp_path / "fixed", CFG) as store:
+            for record in records:
+                store.append(record)
+            dist = distribution(store, ROOT)
         assert dist.total > 0
         assert dist.counts == {SITE.default_language: dist.total}
         assert shannon_entropy(dist.counts) == 0.0
 
 
-def test_criterion_4_violation_round_trip():
+def test_criterion_4_violation_round_trip(tmp_path):
     """Scripted scenario: baseline composite is defaced with >= 2 languages;
     variant-aware replay with the root language cookie is consistent. Budget 2s."""
     with criterion(4, "defacement appears in baseline, repaired variant-aware", 2.0):
@@ -143,30 +143,30 @@ def test_criterion_4_violation_round_trip():
             START,
             variant_config=CFG,
         )
-        store = ArchiveStore.in_memory(CFG)
-        for record in records:
-            store.append(record)
         target = records[1].datetime  # the root capture
+        with ArchiveStore.create(tmp_path / "scenario", CFG) as store:
+            for record in records:
+                store.append(record)
 
-        baseline = reconstruct_composite(store, ROOT, target, ReplayMode.baseline())
-        baseline_report = detect_violations(baseline)
-        assert len(baseline_report.languages_present) >= 2
-        assert baseline_report.verdict == DEFACED
+            baseline = reconstruct_composite(store, ROOT, target, ReplayMode.baseline())
+            baseline_report = detect_violations(baseline)
+            assert len(baseline_report.languages_present) >= 2
+            assert baseline_report.verdict == DEFACED
 
-        variant = reconstruct_composite(
-            store,
-            ROOT,
-            target,
-            ReplayMode.variant_aware(),  # fallback=nearest_any
-            Headers([("cookie", f"lang={baseline_report.root_language}")]),
-        )
+            variant = reconstruct_composite(
+                store,
+                ROOT,
+                target,
+                ReplayMode.variant_aware(),  # fallback=nearest_any
+                Headers([("cookie", f"lang={baseline_report.root_language}")]),
+            )
         variant_report = detect_violations(variant)
         assert variant_report.verdict == CONSISTENT
         assert len(variant_report.violating_parts) == 0
 
 
-def _random_selection_case(rng: random.Random):
-    store = ArchiveStore.in_memory(CFG)
+def _random_selection_case(rng: random.Random, store: ArchiveStore):
+    """Fill the empty `store` with a random case; returns its query."""
     uris = [f"https://s{k}.example/" for k in range(2)]
     for _ in range(rng.randrange(0, 12)):
         store.append(
@@ -185,11 +185,11 @@ def _random_selection_case(rng: random.Random):
         if rng.random() < 0.85
         else Headers()
     )
-    return store, uri, target, headers
+    return uri, target, headers
 
 
-def _oracle_select(store, uri, target, mode, headers):
-    candidates = [r for r in store.iter_records() if str(r.uri) == str(uri)]
+def _oracle_select(records, uri, target, mode, headers):
+    candidates = [r for r in records if str(r.uri) == str(uri)]
     if mode.kind == "variant_aware":
         matching = [
             r for r in candidates if variant_matches(r.variant_key, headers, CFG)
@@ -203,25 +203,27 @@ def _oracle_select(store, uri, target, mode, headers):
     return min(candidates, key=lambda r: (abs(r.datetime - target), r.datetime, r.id))
 
 
-def test_criterion_5_selection_oracle():
+def test_criterion_5_selection_oracle(tmp_path, no_fsync):
     """1,000 random cases: baseline equals the argmin-|dt| oracle, variant
     equals restrict-then-argmin. Zero mismatches tolerated."""
     with criterion(5, "selection equals brute-force oracle on 1,000 cases"):
         rng = random.Random(20190401)
         mismatches = 0
-        for _ in range(1000):
-            store, uri, target, headers = _random_selection_case(rng)
-            for mode in (
-                ReplayMode.baseline(),
-                ReplayMode.variant_aware(),
-                ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
-            ):
-                got = select_memento(store, uri, target, mode, headers)
-                expected = _oracle_select(store, uri, target, mode, headers)
-                got_id = None if got is None else got.id
-                expected_id = None if expected is None else expected.id
-                if got_id != expected_id:
-                    mismatches += 1
+        for case in range(1000):
+            with ArchiveStore.create(tmp_path / f"case{case}", CFG) as store:
+                uri, target, headers = _random_selection_case(rng, store)
+                records = list(store.iter_records())
+                for mode in (
+                    ReplayMode.baseline(),
+                    ReplayMode.variant_aware(),
+                    ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
+                ):
+                    got = select_memento(store, uri, target, mode, headers)
+                    expected = _oracle_select(records, uri, target, mode, headers)
+                    got_id = None if got is None else got.id
+                    expected_id = None if expected is None else expected.id
+                    if got_id != expected_id:
+                        mismatches += 1
         assert mismatches == 0
 
 

@@ -7,6 +7,8 @@ import math
 import random
 from datetime import timedelta
 
+import pytest
+
 from archivelab.analyzer import (
     CONSISTENT,
     DEFACED,
@@ -19,7 +21,6 @@ from archivelab.analyzer import (
 from archivelab.http_core import HttpRequest
 from archivelab.origin import handle
 from archivelab.replay import CompositeMemento, ReplayMode, reconstruct_composite
-from archivelab.store import ArchiveStore
 from conftest import START, build_defacement_store, make_record
 
 URI = "https://a.example/"
@@ -54,24 +55,26 @@ class TestLanguageOf:
 
 
 class TestDistribution:
-    def test_counts_by_primary_subtag(self):
-        store = ArchiveStore.in_memory()
-        store.append(make_record(URI, START, lang="en-US"))
-        store.append(make_record(URI, START + timedelta(seconds=1), lang="en"))
-        store.append(make_record(URI, START + timedelta(seconds=2), lang="kn"))
-        dist = distribution(store, URI)
+    def test_counts_by_primary_subtag(self, new_store):
+        with new_store() as store:
+            store.append(make_record(URI, START, lang="en-US"))
+            store.append(make_record(URI, START + timedelta(seconds=1), lang="en"))
+            store.append(make_record(URI, START + timedelta(seconds=2), lang="kn"))
+            dist = distribution(store, URI)
         assert dist.counts == {"en": 2, "kn": 1}
         assert dist.total == 3
         assert dist.modal() == "en"
 
-    def test_empty_store(self):
-        dist = distribution(ArchiveStore.in_memory(), URI)
+    def test_empty_store(self, new_store):
+        with new_store() as store:
+            dist = distribution(store, URI)
         assert dist.total == 0 and dist.counts == {}
 
-    def test_totals_match_lookup(self, twitter_site):
-        store, root_uri, _ = build_defacement_store(twitter_site)
-        dist = distribution(store, root_uri)
-        assert dist.total == len(store.lookup(root_uri))
+    def test_totals_match_lookup(self, twitter_site, tmp_path):
+        store, root_uri, _ = build_defacement_store(twitter_site, tmp_path / "scenario")
+        with store:
+            dist = distribution(store, root_uri)
+            assert dist.total == len(store.lookup(root_uri))
         assert sum(dist.counts.values()) == dist.total
 
 
@@ -153,36 +156,39 @@ class TestDetectViolations:
             assert base.languages_present == perm.languages_present
             assert len(base.violating_parts) == len(perm.violating_parts)
 
-    def test_end_to_end_defacement_scenario(self, twitter_site):
-        store, root_uri, target = build_defacement_store(twitter_site)
-        composite = reconstruct_composite(store, root_uri, target, ReplayMode.baseline())
+    def test_end_to_end_defacement_scenario(self, twitter_site, tmp_path):
+        store, root_uri, target = build_defacement_store(twitter_site, tmp_path / "scenario")
+        with store:
+            composite = reconstruct_composite(store, root_uri, target, ReplayMode.baseline())
         report = detect_violations(composite)
         assert report.verdict == DEFACED
         assert report.root_language == "pt"
 
 
 class TestBiasReport:
-    def _store(self, langs):
-        store = ArchiveStore.in_memory()
-        for i, lang in enumerate(langs):
-            store.append(make_record(URI, START + timedelta(seconds=i), lang=lang))
-        return store
+    @pytest.fixture
+    def report(self, new_store):
+        """bias_report over two fresh archives of URI with the given languages."""
 
-    def test_identical_stores_zero_entropy_difference(self):
-        store_a = self._store(["en", "kn", "en"])
-        store_b = self._store(["en", "kn", "en"])
-        report = bias_report(store_a, store_b, URI, "left", "right")
-        assert report.to_json()["entropy_difference_bits"] == 0.0
+        def make(langs_a, langs_b, *labels):
+            with new_store() as store_a, new_store() as store_b:
+                for store, langs in ((store_a, langs_a), (store_b, langs_b)):
+                    for i, lang in enumerate(langs):
+                        store.append(make_record(URI, START + timedelta(seconds=i), lang=lang))
+                return bias_report(store_a, store_b, URI, *labels)
 
-    def test_biased_vs_fixed_entropy_ordering(self):
-        biased = self._store(["en", "kn", "kn", "ur"])
-        fixed = self._store(["en", "en", "en"])
-        payload = bias_report(biased, fixed, URI, "biased", "fixed").to_json()
+        return make
+
+    def test_identical_stores_zero_entropy_difference(self, report):
+        payload = report(["en", "kn", "en"], ["en", "kn", "en"], "left", "right").to_json()
+        assert payload["entropy_difference_bits"] == 0.0
+
+    def test_biased_vs_fixed_entropy_ordering(self, report):
+        payload = report(["en", "kn", "kn", "ur"], ["en", "en", "en"], "biased", "fixed").to_json()
         assert payload["fixed"]["entropy_bits"] == 0.0
         assert payload["biased"]["entropy_bits"] > 0.0
 
-    def test_text_output_lists_fractions(self):
-        report = bias_report(self._store(["en", "kn"]), self._store(["en"]), URI)
-        text = report.to_text()
+    def test_text_output_lists_fractions(self, report):
+        text = report(["en", "kn"], ["en"]).to_text()
         assert URI in text
         assert "entropy" in text and "50.00%" in text

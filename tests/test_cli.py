@@ -63,6 +63,25 @@ class TestExitCodes:
         assert excinfo.value.code == 1
         assert not (tmp_path / "d").exists()  # rejected before any work
 
+    def test_demo_max_pages_zero_is_usage_error(self, tmp_path, capsys):
+        assert main(["demo", "--out", str(tmp_path / "d"), "--max-pages", "0"]) == 1
+        assert "max_pages must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-pages", "0"], "max_pages must be >= 1"),
+            (["--cookie-max-ttl", "-5"], "max_ttl must be >= 0"),
+            (["--clock-step", "0"], "clock_step must be positive"),
+            (["--start", "2019"], "not a 14-digit timestamp"),
+        ],
+    )
+    def test_crawl_invalid_option_value_is_usage_error(self, tmp_path, capsys, flags, message):
+        assert main(["crawl", "--out", str(tmp_path / "a"), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_demo_unwritable_out_dir_is_exit_2(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x", encoding="utf-8")

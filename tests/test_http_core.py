@@ -109,7 +109,7 @@ class TestParseSetCookie:
         assert cookie.domain == "example.com"
         assert cookie.host_only is False
         assert cookie.path == "/sub"
-        assert cookie.secure and cookie.http_only
+        assert cookie.secure
 
     @pytest.mark.parametrize(
         "request_uri, domain",

@@ -5,7 +5,10 @@ from __future__ import annotations
 import http.client
 import random
 import threading
+from dataclasses import replace
 from datetime import timedelta
+
+import pytest
 
 from archivelab.cookiejar import import_netscape
 from archivelab.http_core import Headers, canonicalize
@@ -24,9 +27,9 @@ CFG = VariantConfig()
 URI = "https://a.example/"
 
 
-def brute_force_select(store, uri, target, mode, headers, cfg):
-    """Independent oracle: linear scan over every record in the store."""
-    candidates = [r for r in store.iter_records() if str(r.uri) == str(uri)]
+def brute_force_select(records, uri, target, mode, headers, cfg):
+    """Independent oracle: linear scan over every record of a store."""
+    candidates = [r for r in records if str(r.uri) == str(uri)]
     if mode.kind == "variant_aware":
         matching = [
             r for r in candidates if variant_matches(r.variant_key, headers, cfg)
@@ -40,9 +43,9 @@ def brute_force_select(store, uri, target, mode, headers, cfg):
     return min(candidates, key=lambda r: (abs(r.datetime - target), r.datetime, r.id))
 
 
-def _two_variant_store():
+def _two_variant_store(new_store):
     """kn capture 10s before target, en capture 30s after."""
-    store = ArchiveStore.in_memory(CFG)
+    store = new_store(CFG)
     store.append(
         make_record(URI, START - timedelta(seconds=10), lang="kn", request_cookie="lang=kn")
     )
@@ -53,56 +56,57 @@ def _two_variant_store():
 
 
 class TestSelectMemento:
-    def test_baseline_picks_nearest(self):
-        store = _two_variant_store()
-        record = select_memento(store, URI, START, ReplayMode.baseline())
+    def test_baseline_picks_nearest(self, new_store):
+        with _two_variant_store(new_store) as store:
+            record = select_memento(store, URI, START, ReplayMode.baseline())
         assert record.datetime == START - timedelta(seconds=10)  # the kn capture
 
-    def test_variant_restricts_then_nearest(self):
-        store = _two_variant_store()
-        record = select_memento(
-            store,
-            URI,
-            START,
-            ReplayMode.variant_aware(),
-            Headers([("cookie", "lang=en")]),
-        )
+    def test_variant_restricts_then_nearest(self, new_store):
+        with _two_variant_store(new_store) as store:
+            record = select_memento(
+                store,
+                URI,
+                START,
+                ReplayMode.variant_aware(),
+                Headers([("cookie", "lang=en")]),
+            )
         assert record.datetime == START + timedelta(seconds=30)
 
-    def test_empty_store_not_found(self):
-        assert select_memento(ArchiveStore.in_memory(), URI, START, ReplayMode.baseline()) is None
+    def test_empty_store_not_found(self, new_store):
+        with new_store() as store:
+            assert select_memento(store, URI, START, ReplayMode.baseline()) is None
 
-    def test_tie_breaks_toward_earlier_then_smaller_id(self):
-        store = ArchiveStore.in_memory(CFG)
-        before = store.append(make_record(URI, START - timedelta(seconds=5)))
-        store.append(make_record(URI, START + timedelta(seconds=5)))
-        chosen = select_memento(store, URI, START, ReplayMode.baseline())
+    def test_tie_breaks_toward_earlier_then_smaller_id(self, new_store):
+        with new_store(CFG) as store:
+            before = store.append(make_record(URI, START - timedelta(seconds=5)))
+            store.append(make_record(URI, START + timedelta(seconds=5)))
+            chosen = select_memento(store, URI, START, ReplayMode.baseline())
         assert chosen.id == before
-        same_time = ArchiveStore.in_memory(CFG)
-        first = same_time.append(make_record(URI, START))
-        same_time.append(make_record(URI, START))
-        assert select_memento(same_time, URI, START, ReplayMode.baseline()).id == first
+        with new_store(CFG) as same_time:
+            first = same_time.append(make_record(URI, START))
+            same_time.append(make_record(URI, START))
+            assert select_memento(same_time, URI, START, ReplayMode.baseline()).id == first
 
-    def test_fallback_not_found(self):
-        store = _two_variant_store()
-        record = select_memento(
-            store,
-            URI,
-            START,
-            ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
-            Headers([("cookie", "lang=ur")]),
-        )
+    def test_fallback_not_found(self, new_store):
+        with _two_variant_store(new_store) as store:
+            record = select_memento(
+                store,
+                URI,
+                START,
+                ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
+                Headers([("cookie", "lang=ur")]),
+            )
         assert record is None
 
-    def test_fallback_nearest_any_degrades_to_baseline(self):
-        store = _two_variant_store()
-        record = select_memento(
-            store,
-            URI,
-            START,
-            ReplayMode.variant_aware(),
-            Headers([("cookie", "lang=ur")]),
-        )
+    def test_fallback_nearest_any_degrades_to_baseline(self, new_store):
+        with _two_variant_store(new_store) as store:
+            record = select_memento(
+                store,
+                URI,
+                START,
+                ReplayMode.variant_aware(),
+                Headers([("cookie", "lang=ur")]),
+            )
         assert record.datetime == START - timedelta(seconds=10)
 
     def test_selection_compares_under_the_store_config(self, tmp_path):
@@ -115,17 +119,17 @@ class TestSelectMemento:
             assert select_memento(store, URI, START, mode, both) is not None
             assert select_memento(store, URI, START, mode, Headers([("cookie", "lang=kn")])) is None
 
-    def test_baseline_ignores_context(self):
+    def test_baseline_ignores_context(self, new_store):
         rng = random.Random(3)
-        store = _two_variant_store()
-        expected = select_memento(store, URI, START, ReplayMode.baseline())
-        for _ in range(25):
-            headers = Headers([("cookie", "lang=" + rng.choice(["en", "kn", "ur"]))])
-            assert select_memento(store, URI, START, ReplayMode.baseline(), headers) == expected
+        with _two_variant_store(new_store) as store:
+            expected = select_memento(store, URI, START, ReplayMode.baseline())
+            for _ in range(25):
+                headers = Headers([("cookie", "lang=" + rng.choice(["en", "kn", "ur"]))])
+                assert select_memento(store, URI, START, ReplayMode.baseline(), headers) == expected
 
 
-def _random_case(rng: random.Random):
-    store = ArchiveStore.in_memory(CFG)
+def _random_case(rng: random.Random, store: ArchiveStore):
+    """Fill the empty `store` with a random case; returns its query."""
     uris = [f"https://s{k}.example/" for k in range(2)]
     for _ in range(rng.randrange(0, 10)):
         cookie = rng.choice([None, "lang=kn", "lang=en", "lang=ur; _sess=x"])
@@ -153,7 +157,7 @@ def _random_case(rng: random.Random):
             ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
         ]
     )
-    return store, uri, target, mode, headers
+    return uri, target, mode, headers
 
 
 LARGE_URIS = ("https://big.example/", "https://big.example/fragment/0/0")
@@ -192,33 +196,35 @@ def _large_query(rng: random.Random, span_s: int):
 
 
 class TestSelectionOracle:
-    def test_matches_brute_force_on_random_cases(self):
+    def test_matches_brute_force_on_random_cases(self, new_store, no_fsync):
         rng = random.Random(4242)
         for _ in range(300):
-            store, uri, target, mode, headers = _random_case(rng)
-            got = select_memento(store, uri, target, mode, headers)
-            expected = brute_force_select(store, uri, target, mode, headers, CFG)
+            with new_store(CFG) as store:
+                uri, target, mode, headers = _random_case(rng, store)
+                got = select_memento(store, uri, target, mode, headers)
+                records = list(store.iter_records())
+            expected = brute_force_select(records, uri, target, mode, headers, CFG)
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got.id == expected.id
 
-    def test_matches_brute_force_on_large_stores(self, tmp_path, monkeypatch):
-        # Thousands of captures per URI, in memory and reopened from disk, with
-        # appends after the reopen. Durability is not under test here.
-        monkeypatch.setattr("archivelab.store.os.fsync", lambda fd: None)
+    def test_matches_brute_force_on_large_stores(self, tmp_path, no_fsync):
+        # Thousands of captures per URI, reopened from disk, with appends after
+        # the reopen.
         rng = random.Random(9091)
         span_s = 1500
-        memory = ArchiveStore.in_memory(LARGE_STORE_CFG)
         with ArchiveStore.create(tmp_path / "large", LARGE_STORE_CFG) as disk:
-            for record in _large_batch(rng, 4000, span_s):
-                memory.append(record)
-                disk.append(record)
+            appended = [
+                replace(record, id=disk.append(record))
+                for record in _large_batch(rng, 4000, span_s)
+            ]
         with ArchiveStore.open(tmp_path / "large") as reopened:
-            for record in _large_batch(rng, 300, span_s):
-                memory.append(record)
-                reopened.append(record)
-            assert list(reopened.iter_records()) == list(memory.iter_records())
-            assert min(len(memory.lookup(uri)) for uri in LARGE_URIS) >= 2000
+            appended += [
+                replace(record, id=reopened.append(record))
+                for record in _large_batch(rng, 300, span_s)
+            ]
+            assert list(reopened.iter_records()) == appended
+            assert min(len(reopened.lookup(uri)) for uri in LARGE_URIS) >= 2000
             modes = (
                 ReplayMode.baseline(),
                 ReplayMode.variant_aware(),
@@ -229,13 +235,12 @@ class TestSelectionOracle:
                 uri, target, headers = _large_query(rng, span_s)
                 for mode in modes:
                     expected = brute_force_select(
-                        memory, uri, target, mode, headers, LARGE_STORE_CFG
+                        appended, uri, target, mode, headers, LARGE_STORE_CFG
                     )
-                    for store in (memory, reopened):
-                        got = select_memento(store, uri, target, mode, headers)
-                        assert (got is None) == (expected is None)
-                        if got is not None:
-                            assert got.id == expected.id
+                    got = select_memento(reopened, uri, target, mode, headers)
+                    assert (got is None) == (expected is None)
+                    if got is not None:
+                        assert got.id == expected.id
                     if mode.fallback == FALLBACK_NOT_FOUND and expected is not None:
                         matched_dimensions.add(tuple(d for d, _ in expected.variant_key.pairs))
             # every kind of key was a match at least once: empty, Vary: *,
@@ -243,21 +248,23 @@ class TestSelectionOracle:
             assert {(), ("cookie",), ("accept-language", "cookie")} <= matched_dimensions
             assert any("host" in dims for dims in matched_dimensions)
 
-    def test_variant_results_always_match_context(self):
+    def test_variant_results_always_match_context(self, new_store, no_fsync):
         rng = random.Random(515)
         for _ in range(200):
-            store, uri, target, _, headers = _random_case(rng)
-            record = select_memento(
-                store, uri, target, ReplayMode.variant_aware(FALLBACK_NOT_FOUND), headers
-            )
+            with new_store(CFG) as store:
+                uri, target, _, headers = _random_case(rng, store)
+                record = select_memento(
+                    store, uri, target, ReplayMode.variant_aware(FALLBACK_NOT_FOUND), headers
+                )
             if record is not None:
                 assert variant_matches(record.variant_key, headers, CFG)
 
 
 class TestComposite:
-    def test_baseline_reconstruction_is_defaced(self, twitter_site):
-        store, root_uri, target = build_defacement_store(twitter_site)
-        composite = reconstruct_composite(store, root_uri, target, ReplayMode.baseline())
+    def test_baseline_reconstruction_is_defaced(self, twitter_site, tmp_path):
+        store, root_uri, target = build_defacement_store(twitter_site, tmp_path / "scenario")
+        with store:
+            composite = reconstruct_composite(store, root_uri, target, ReplayMode.baseline())
         assert composite is not None
         langs = {composite.root.response_headers.get("content-language")} | {
             rec.response_headers.get("content-language")
@@ -268,15 +275,16 @@ class TestComposite:
         # parts were selected for the root's capture datetime
         assert composite.root.datetime == target
 
-    def test_variant_reconstruction_is_consistent(self, twitter_site):
-        store, root_uri, target = build_defacement_store(twitter_site)
-        composite = reconstruct_composite(
-            store,
-            root_uri,
-            target,
-            ReplayMode.variant_aware(),
-            Headers([("cookie", "lang=pt")]),
-        )
+    def test_variant_reconstruction_is_consistent(self, twitter_site, tmp_path):
+        store, root_uri, target = build_defacement_store(twitter_site, tmp_path / "scenario")
+        with store:
+            composite = reconstruct_composite(
+                store,
+                root_uri,
+                target,
+                ReplayMode.variant_aware(),
+                Headers([("cookie", "lang=pt")]),
+            )
         languages = {
             rec.response_headers.get("content-language")
             for _, rec in composite.parts
@@ -285,7 +293,7 @@ class TestComposite:
         assert languages == {"pt"}
         assert all(rec is not None for _, rec in composite.parts)
 
-    def test_single_language_store_stays_single(self, twitter_site):
+    def test_single_language_store_stays_single(self, twitter_site, new_store):
         from archivelab.cookiejar import JarPolicy
         from archivelab.crawler import scripted_crawl
         from archivelab.origin import fetch_fn
@@ -297,12 +305,12 @@ class TestComposite:
             JarPolicy(),
             START,
         )
-        store = ArchiveStore.in_memory(CFG)
-        for record in records:
-            store.append(record)
-        composite = reconstruct_composite(
-            store, "https://twitter.com/", START, ReplayMode.baseline()
-        )
+        with new_store(CFG) as store:
+            for record in records:
+                store.append(record)
+            composite = reconstruct_composite(
+                store, "https://twitter.com/", START, ReplayMode.baseline()
+            )
         langs = {
             rec.response_headers.get("content-language")
             for _, rec in composite.parts
@@ -310,25 +318,22 @@ class TestComposite:
         } | {composite.root.response_headers.get("content-language")}
         assert langs == {"en"}
 
-    def test_missing_parts_recorded_not_fetched(self):
-        store = ArchiveStore.in_memory(CFG)
+    def test_missing_parts_recorded_not_fetched(self, new_store):
         body = b'<html lang="en"><iframe class="fragment" src="https://a.example/gone"></iframe></html>'
-        store.append(make_record(URI, START, body=body))
-        composite = reconstruct_composite(store, URI, START, ReplayMode.baseline())
+        with new_store(CFG) as store:
+            store.append(make_record(URI, START, body=body))
+            composite = reconstruct_composite(store, URI, START, ReplayMode.baseline())
         assert composite.parts == (("https://a.example/gone", None),)
 
-    def test_root_not_found_propagates(self):
-        assert (
-            reconstruct_composite(
-                ArchiveStore.in_memory(), URI, START, ReplayMode.baseline()
-            )
-            is None
-        )
+    def test_root_not_found_propagates(self, new_store):
+        with new_store() as store:
+            assert reconstruct_composite(store, URI, START, ReplayMode.baseline()) is None
 
-    def test_composite_closure_all_parts_from_store(self, twitter_site):
-        store, root_uri, target = build_defacement_store(twitter_site)
-        composite = reconstruct_composite(store, root_uri, target, ReplayMode.baseline())
-        stored_ids = {r.id for r in store.iter_records()}
+    def test_composite_closure_all_parts_from_store(self, twitter_site, tmp_path):
+        store, root_uri, target = build_defacement_store(twitter_site, tmp_path / "scenario")
+        with store:
+            composite = reconstruct_composite(store, root_uri, target, ReplayMode.baseline())
+            stored_ids = {r.id for r in store.iter_records()}
         for _, rec in composite.parts:
             if rec is not None:
                 assert rec.id in stored_ids
@@ -343,6 +348,11 @@ def test_replay_headers_keeps_secure_cookie_off_http():
 
 
 class TestHttpService:
+    @pytest.fixture
+    def store(self, new_store):
+        with _two_variant_store(new_store) as store:
+            yield store
+
     def _serve(self, store, mode):
         server = make_replay_server(store, mode, 0)
         thread = threading.Thread(
@@ -359,8 +369,7 @@ class TestHttpService:
         conn.close()
         return response, body
 
-    def test_serves_nearest_capture_with_memento_headers(self):
-        store = _two_variant_store()
+    def test_serves_nearest_capture_with_memento_headers(self, store):
         server, port = self._serve(store, ReplayMode.baseline())
         try:
             ts = (START + timedelta(seconds=2)).strftime("%Y%m%d%H%M%S")
@@ -375,8 +384,7 @@ class TestHttpService:
             server.shutdown()
             server.server_close()
 
-    def test_variant_mode_honors_request_cookie(self):
-        store = _two_variant_store()
+    def test_variant_mode_honors_request_cookie(self, store):
         server, port = self._serve(store, ReplayMode.variant_aware())
         try:
             ts = START.strftime("%Y%m%d%H%M%S")
@@ -389,10 +397,9 @@ class TestHttpService:
             server.shutdown()
             server.server_close()
 
-    def test_request_cookie_file_provides_default_context(self):
+    def test_request_cookie_file_provides_default_context(self, store):
         from archivelab.cookiejar import import_netscape
 
-        store = _two_variant_store()
         jar = import_netscape(
             "# Netscape HTTP Cookie File\na.example\tFALSE\t/\tFALSE\t0\tlang\ten\n"
         )
@@ -412,20 +419,21 @@ class TestHttpService:
             server.shutdown()
             server.server_close()
 
-    def test_each_listener_has_its_own_handler_class(self):
-        stores = [_two_variant_store(), _two_variant_store()]
-        servers = [make_replay_server(store, ReplayMode.baseline(), 0) for store in stores]
-        try:
-            handlers = [server.RequestHandlerClass for server in servers]
-            assert handlers[0] is not handlers[1]
-            assert [handler.store for handler in handlers] == stores
-            assert handlers[0].protocol_version == "HTTP/1.0"
-        finally:
-            for server in servers:
-                server.server_close()
+    def test_each_listener_has_its_own_handler_class(self, store, new_store):
+        with _two_variant_store(new_store) as other:
+            stores = [store, other]
+            servers = [make_replay_server(s, ReplayMode.baseline(), 0) for s in stores]
+            try:
+                handlers = [server.RequestHandlerClass for server in servers]
+                assert handlers[0] is not handlers[1]
+                assert [handler.store for handler in handlers] == stores
+                assert handlers[0].protocol_version == "HTTP/1.0"
+            finally:
+                for server in servers:
+                    server.server_close()
 
-    def test_malformed_timestamp_400(self):
-        server, port = self._serve(_two_variant_store(), ReplayMode.baseline())
+    def test_malformed_timestamp_400(self, store):
+        server, port = self._serve(store, ReplayMode.baseline())
         try:
             response, _ = self._get(port, "/web/2019/https://a.example/")
             assert response.status == 400
@@ -437,21 +445,21 @@ class TestHttpService:
             server.shutdown()
             server.server_close()
 
-    def test_failed_fetch_capture_is_504_not_200(self):
-        store = ArchiveStore.in_memory(CFG)
-        store.append(make_record(URI, START, lang=None, status=0))
-        server, port = self._serve(store, ReplayMode.baseline())
-        try:
-            response, body = self._get(port, f"/web/{START.strftime('%Y%m%d%H%M%S')}/{URI}")
-            assert response.status == 504
-            assert response.headers["X-Archive-Error"] == "capture-fetch-failed"
-            assert body == b""
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_failed_fetch_capture_is_504_not_200(self, new_store):
+        with new_store(CFG) as store:
+            store.append(make_record(URI, START, lang=None, status=0))
+            server, port = self._serve(store, ReplayMode.baseline())
+            try:
+                response, body = self._get(port, f"/web/{START.strftime('%Y%m%d%H%M%S')}/{URI}")
+                assert response.status == 504
+                assert response.headers["X-Archive-Error"] == "capture-fetch-failed"
+                assert body == b""
+            finally:
+                server.shutdown()
+                server.server_close()
 
-    def test_unknown_uri_404(self):
-        server, port = self._serve(_two_variant_store(), ReplayMode.baseline())
+    def test_unknown_uri_404(self, store):
+        server, port = self._serve(store, ReplayMode.baseline())
         try:
             ts = START.strftime("%Y%m%d%H%M%S")
             response, _ = self._get(port, f"/web/{ts}/https://missing.example/")

@@ -80,54 +80,55 @@ class TestDeriveVariantKey:
 
 
 class TestAppendAndLookup:
-    def test_ids_increase_from_one(self):
-        store = ArchiveStore.in_memory()
-        ids = [store.append(make_record("https://a.example/", START)) for _ in range(3)]
+    def test_ids_increase_from_one(self, new_store):
+        with new_store() as store:
+            ids = [store.append(make_record("https://a.example/", START)) for _ in range(3)]
         assert ids == [1, 2, 3]
 
-    def test_duplicate_captures_both_kept(self):
-        store = ArchiveStore.in_memory()
+    def test_duplicate_captures_both_kept(self, new_store):
         record = make_record("https://a.example/", START)
-        store.append(record)
-        store.append(record)
-        assert len(store.lookup("https://a.example/")) == 2
+        with new_store() as store:
+            store.append(record)
+            store.append(record)
+            assert len(store.lookup("https://a.example/")) == 2
 
-    def test_unknown_uri_empty(self):
-        assert ArchiveStore.in_memory().lookup("https://nowhere.example/") == []
+    def test_unknown_uri_empty(self, new_store):
+        with new_store() as store:
+            assert store.lookup("https://nowhere.example/") == []
 
-    def test_same_second_ties_ordered_by_id(self):
-        store = ArchiveStore.in_memory()
-        first = store.append(
-            make_record("https://a.example/", START, request_cookie="lang=kn")
-        )
-        second = store.append(
-            make_record("https://a.example/", START, request_cookie="lang=en")
-        )
-        entries = store.lookup("https://a.example/")
+    def test_same_second_ties_ordered_by_id(self, new_store):
+        with new_store() as store:
+            first = store.append(
+                make_record("https://a.example/", START, request_cookie="lang=kn")
+            )
+            second = store.append(
+                make_record("https://a.example/", START, request_cookie="lang=en")
+            )
+            entries = store.lookup("https://a.example/")
         assert [e.id for e in entries] == [first, second]
         assert {e.variant_key.pairs[0][1] for e in entries} == {"lang=kn", "lang=en"}
 
-    def test_lookup_equals_linear_scan_oracle(self):
+    def test_lookup_equals_linear_scan_oracle(self, new_store, no_fsync):
         rng = random.Random(1000)
         uris = [f"https://site{k}.example/p" for k in range(3)]
         for _ in range(1000):
-            store = ArchiveStore.in_memory()
-            for _ in range(rng.randrange(0, 9)):
-                record = make_record(
-                    rng.choice(uris),
-                    START + timedelta(seconds=rng.randrange(-50, 50)),
-                    lang=rng.choice(["en", "kn", None]),
+            with new_store() as store:
+                for _ in range(rng.randrange(0, 9)):
+                    record = make_record(
+                        rng.choice(uris),
+                        START + timedelta(seconds=rng.randrange(-50, 50)),
+                        lang=rng.choice(["en", "kn", None]),
+                    )
+                    store.append(record)
+                probe = rng.choice(uris)
+                expected = sorted(
+                    (
+                        (r.datetime, r.id)
+                        for r in store.iter_records()
+                        if str(r.uri) == probe
+                    ),
                 )
-                store.append(record)
-            probe = rng.choice(uris)
-            expected = sorted(
-                (
-                    (r.datetime, r.id)
-                    for r in store.iter_records()
-                    if str(r.uri) == probe
-                ),
-            )
-            got = [(e.datetime, e.id) for e in store.lookup(probe)]
+                got = [(e.datetime, e.id) for e in store.lookup(probe)]
             assert got == expected
 
 
