@@ -4,7 +4,9 @@ Everything here but `make_listener` is a pure function over immutable
 values: requests, responses, cookies, canonical URIs, and the parsers for
 Set-Cookie, Cookie, Vary, and Accept-Language. No clocks; callers pass `now`
 explicitly. `make_listener` is the one TCP listener factory, shared by the
-origin and replay servers.
+origin and replay servers; it installs the one request parser, which reads
+the request line by `http.server`'s rules and the field lines straight into
+a `Headers`, without the `email` package.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import ClassVar, Iterable, Iterator
 
@@ -66,12 +69,9 @@ def format_timestamp14(dt: datetime) -> str:
     return ensure_utc(dt).strftime("%Y%m%d%H%M%S")
 
 
-_TIMESTAMP14_RE = re.compile(r"\d{14}")
-
-
 def parse_timestamp14(value: str) -> datetime:
     """Parse a 14-digit timestamp; raises ValueError on anything else."""
-    if not _TIMESTAMP14_RE.fullmatch(value):
+    if len(value) != 14 or not value.isdecimal():
         raise ValueError(f"not a 14-digit timestamp: {value!r}")
     return datetime(
         int(value[0:4]),
@@ -583,6 +583,108 @@ def parse_accept_language(header_value: str) -> list[tuple[str, float]]:
 
 # --- listener ---------------------------------------------------------------
 
+# http.server's limits: a field line of at most 64 KiB (`handle_one_request`
+# holds the request line to the same), and at most 100 lines of fields, the
+# blank line that ends them counted.
+_MAX_LINE = 65536
+_MAX_FIELD_LINES = 100
+# RFC 2145 §3.1: two decimal integers, leading zeros ignored; http.server
+# also refuses a number of more than 10 digits.
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+# RFC 9112 §5.1: a field name is a token, with no whitespace before the
+# colon. Any visible ASCII but ':' is accepted, as http.server's parser
+# accepted it.
+_FIELD_NAME_RE = re.compile(r"[!-9;-~]+")
+
+
+def _parse_request(self: BaseHTTPRequestHandler) -> bool:
+    """`BaseHTTPRequestHandler.parse_request` without the `email` package.
+
+    The request line is checked by http.server's rules, with its statuses
+    and limits. The field lines are read to the blank line into one
+    `Headers`, kept as `self.headers`. A field line with no colon, with
+    whitespace or nothing before its colon, or that starts with whitespace
+    (an obsolete line fold) is answered 400, as RFC 9112 §5.1-§5.2 allows;
+    `email` dropped it and every field after it. Leading and trailing
+    whitespace of a value is not part of it.
+    """
+    self.command = None  # set in case of error on the first line
+    self.request_version = self.default_request_version
+    self.close_connection = True
+    requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+    self.requestline = requestline
+    words = requestline.split()
+    if not words:
+        return False
+    if len(words) >= 3:  # enough to determine the protocol version
+        version = words[-1]
+        number = _VERSION_RE.fullmatch(version)
+        if number is None:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+            return False
+        major, minor = int(number[1]), int(number[2])
+        if (major, minor) >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if major >= 2:
+            self.send_error(
+                HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})"
+            )
+            return False
+        self.request_version = version
+    if not 2 <= len(words) <= 3:
+        self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+        return False
+    command, path = words[:2]
+    if len(words) == 2:
+        self.close_connection = True
+        if command != "GET":
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+    self.command = command
+    # a path starting "//" reads as a scheme-relative URI to clients, an open
+    # redirect (gh-87389), so it is reduced to a single "/"
+    self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+    # Every line is read before any is judged, so an error leaves no unread
+    # request bytes behind.
+    lines = []
+    while True:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                "Line too long",
+                f"got more than {_MAX_LINE} bytes when reading header line",
+            )
+            return False
+        if len(lines) == _MAX_FIELD_LINES:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                "Too many headers",
+                f"got more than {_MAX_FIELD_LINES} headers",
+            )
+            return False
+        if line in (b"\r\n", b"\n", b""):
+            break
+        lines.append(line)
+    fields = []
+    for line in lines:
+        name, colon, value = str(line, "iso-8859-1").rstrip("\r\n").partition(":")
+        if not colon or not _FIELD_NAME_RE.fullmatch(name):
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad header field line", repr(line))
+            return False
+        fields.append((name, value.strip(" \t")))
+    self.headers = Headers(fields)
+
+    connection = self.headers.get("connection", "").lower()
+    if connection == "close":
+        self.close_connection = True
+    elif connection == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+        self.close_connection = False
+    # `Expect: 100-continue` is not answered: it never applies to an
+    # HTTP/1.0 listener. A listener that speaks HTTP/1.1 must restore it.
+    return True
+
 
 def make_listener(
     handler: type[BaseHTTPRequestHandler], port: int, **attributes
@@ -591,10 +693,15 @@ def make_listener(
 
     Port 0 picks a free port. Each listener gets its own subclass of
     `handler` carrying `attributes` as class attributes, with request
-    logging silenced.
+    logging silenced and requests parsed by `_parse_request`, so
+    `self.headers` is a `Headers`.
     """
     name = handler.__name__.lstrip("_")
-    subclass = type(name, (handler,), {**attributes, "log_message": _no_log})
+    subclass = type(
+        name,
+        (handler,),
+        {**attributes, "log_message": _no_log, "parse_request": _parse_request},
+    )
     return ThreadingHTTPServer(("127.0.0.1", port), subclass)
 
 

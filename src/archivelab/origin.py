@@ -313,15 +313,12 @@ def fetch_fn(site: SiteConfig) -> Callable[[HttpRequest], HttpResponse]:
 
 
 class _OriginHandler(BaseHTTPRequestHandler):
+    headers: Headers  # parsed by the request parser `make_listener` installs
     site: SiteConfig  # set by make_origin_server
 
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
         host = self.headers.get("Host", self.site.host).split(":")[0]
-        request = HttpRequest(
-            "GET",
-            f"https://{host}{self.path}",
-            Headers(list(self.headers.items())),
-        )
+        request = HttpRequest("GET", f"https://{host}{self.path}", self.headers)
         try:
             response = handle(request, self.site)
         except ValueError:

@@ -170,6 +170,7 @@ def replay_headers(
 
 
 class _ReplayHandler(BaseHTTPRequestHandler):
+    headers: Headers  # parsed by the request parser `make_listener` installs
     store: ArchiveStore
     mode: ReplayMode
     base_jar: CookieJar | None
@@ -190,7 +191,7 @@ class _ReplayHandler(BaseHTTPRequestHandler):
             self.send_error(400, "malformed archived URI")
             return
 
-        request = replay_headers(Headers(self.headers.items()), uri, target, self.base_jar)
+        request = replay_headers(self.headers, uri, target, self.base_jar)
         record = select_memento(self.store, uri, target, self.mode, request)
         if record is None:
             self.send_error(404, "no matching capture")
@@ -207,7 +208,7 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         if content_language is not None:
             self.send_header("content-language", content_language)
         self.send_header("memento-datetime", format_datetime(record.datetime, usegmt=True))
-        self.send_header("x-archive-variant", record.variant_key.encode())
+        self.send_header("x-archive-variant", record.variant_key.encoded)
         if self.mode.kind == VARIANT_AWARE and not variant_matches(
             record.variant_key, request, self.store.variant_config
         ):

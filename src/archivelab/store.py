@@ -24,11 +24,16 @@ pair and stored; lookups never recompute them.
 `open` builds the in-memory index from the frame headers of `records.dat`
 alone, seeking past every body; a repeated frame id is a `StoreError`. It
 never writes: a torn final frame is left out of the index with a warning,
-and the next `append` cuts it off. The store keeps only each frame's offset
-and length and reads a record back with `os.pread` when `get_record` asks
-for it. Each URI's captures are indexed twice: one list of all entries in
-(datetime, id) order, and the same entries grouped by dimension tuple, then
-by variant key, each group in (datetime, id) order. `nearest` bisects them.
+and the next `append` cuts it off. Each frame is held as its offset and
+length, the length and CRC-32 of its header line, its response status, and
+its two header lists, interned: captures with equal lists share one
+`Headers`, and captures with equal variant keys share one `VariantKey`.
+`get_record` reads the frame back with `os.pread`, checks that its header
+line is still the one `open` or `append` saw, and slices the body off; it
+decodes no JSON. Each URI's captures are indexed twice: one list of all
+entries in (datetime, id) order, and the same entries grouped by dimension
+tuple, then by variant key, each group in (datetime, id) order. `nearest`
+bisects them.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ import json
 import os
 import re
 import warnings
+import zlib
 from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -79,7 +86,10 @@ class StoreError(Exception):
 
 @dataclass(frozen=True)
 class VariantKey:
-    """Ordered (dimension, value) pairs a capture varied on; empty = no variance."""
+    """Ordered (dimension, value) pairs a capture varied on; empty = no variance.
+
+    Its dimension tuple and its JSON encoding are computed once per key.
+    """
 
     pairs: tuple[tuple[str, str], ...] = ()
 
@@ -87,10 +97,16 @@ class VariantKey:
     def is_empty(self) -> bool:
         return not self.pairs
 
+    @cached_property
+    def dimensions(self) -> tuple[str, ...]:
+        return tuple(d for d, _ in self.pairs)
+
     def to_json(self) -> list[list[str]]:
         return [[d, v] for d, v in self.pairs]
 
-    def encode(self) -> str:
+    @cached_property
+    def encoded(self) -> str:
+        """The key as compact JSON, as replay's `X-Archive-Variant` carries it."""
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 
@@ -209,8 +225,11 @@ class ArchiveRecord:
     variant_key: VariantKey
 
     def __post_init__(self) -> None:
-        normalized = ensure_utc(self.datetime).replace(microsecond=0)
-        object.__setattr__(self, "datetime", normalized)
+        normalized = ensure_utc(self.datetime)
+        if normalized.microsecond:
+            normalized = normalized.replace(microsecond=0)
+        if normalized is not self.datetime:
+            object.__setattr__(self, "datetime", normalized)
         if not 0 <= self.response_status <= 599:
             raise ValueError(f"response status out of range: {self.response_status}")
 
@@ -256,7 +275,7 @@ def _closest(entries: list[IndexEntry], target: datetime) -> IndexEntry | None:
 
 def _add_sorted(entries: list[IndexEntry], entry: IndexEntry) -> None:
     """Keep `entries` (datetime, id)-sorted; appending in order costs O(1)."""
-    if entries and _entry_order(entry) < _entry_order(entries[-1]):
+    if entries and (entry.datetime, entry.id) < (entries[-1].datetime, entries[-1].id):
         insort(entries, entry, key=_entry_order)
     else:
         entries.append(entry)
@@ -273,20 +292,26 @@ class _UriIndex:
     )
 
     def add(self, entry: IndexEntry) -> None:
-        dimensions = tuple(d for d, _ in entry.variant_key.pairs)
-        group = self.groups.setdefault(dimensions, {}).setdefault(entry.variant_key, [])
+        key = entry.variant_key
+        group = self.groups.setdefault(key.dimensions, {}).setdefault(key, [])
         _add_sorted(group, entry)
         _add_sorted(self.entries, entry)
 
 
 class _Frame(NamedTuple):
-    """Where a record lives in `records.dat`, plus the fields of its
-    header that the index already holds."""
+    """Where a record lives in `records.dat`, the length and CRC-32 of its
+    header line (newline included), and every field of that header but the
+    body length; its header lists and variant key are interned."""
 
     offset: int
     length: int
+    header_length: int
+    header_crc: int
     uri: CanonicalUri
     entry: IndexEntry
+    status: int
+    request_headers: Headers
+    response_headers: Headers
 
 
 def _frame_header(record: ArchiveRecord) -> bytes:
@@ -325,6 +350,7 @@ class _TornFrame(Exception):
 # header is its id when the id is complete.
 _HEADER_START = b'{"body_length":'
 _TORN_ID_RE = re.compile(rb'"id":(\d+)[,}]')
+_raw_decode_json = json.JSONDecoder().raw_decode
 
 
 def _holds_later_frame(data: bytes, record_id: int) -> bool:
@@ -356,6 +382,11 @@ class ArchiveStore:
         self._directory = directory
         self.variant_config = variant_config
         self._records: dict[int, _Frame] = {}  # id -> where its frame is
+        # interned values: the one Headers per distinct list of a frame
+        # header, by that list and by value, and the one VariantKey per pairs
+        self._header_lists: dict[tuple, Headers] = {}
+        self._headers: dict[Headers, Headers] = {}
+        self._keys: dict[tuple, VariantKey] = {}
         self._by_uri: defaultdict[str, _UriIndex] = defaultdict(_UriIndex)
         self._next_id = 1
         self._size = 0  # bytes of complete frames in records.dat
@@ -416,13 +447,13 @@ class ArchiveStore:
         """Index every frame of `records.dat` from its header line, seeking
         past its body.
 
-        Each distinct URI string is canonicalized once and each distinct
-        variant key built once. Only the bytes present at the start of the
-        scan are read, so frames another process appends meanwhile wait for
-        the next `open`. A final frame that ends early, as a crash in
-        `append` leaves it, is left out with a warning, and the next `append`
-        cuts it off; any other bad frame is a `StoreError`. The file is never
-        changed here.
+        Each distinct URI string is canonicalized once, and each distinct
+        header list and variant key built once. Only the bytes present at
+        the start of the scan are read, so frames another process appends
+        meanwhile wait for the next `open`. A final frame that ends early, as
+        a crash in `append` leaves it, is left out with a warning, and the
+        next `append` cuts it off; any other bad frame is a `StoreError`. The
+        file is never changed here.
         """
         path = self._directory / RECORDS_NAME
         try:
@@ -430,7 +461,6 @@ class ArchiveStore:
         except FileNotFoundError:
             raise StoreError(f"missing {RECORDS_NAME} in {self._directory}") from None
         uris: dict[str, tuple[str, CanonicalUri]] = {}
-        keys: dict[tuple[tuple[str, str], ...], VariantKey] = {}
         with fh:
             size = os.fstat(fh.fileno()).st_size
             offset = 0
@@ -439,7 +469,10 @@ class ArchiveStore:
                 try:
                     if not line.endswith(b"\n"):
                         raise _TornFrame
-                    header = json.loads(line)
+                    text = line.decode("utf-8")
+                    header, header_end = _raw_decode_json(text)
+                    if header_end != len(text) - 1:
+                        raise ValueError("bytes after the JSON of a frame header")
                     length = header["body_length"]
                     if type(length) is not int or length < 0:
                         raise ValueError(f"bad body_length {length!r}")
@@ -460,17 +493,21 @@ class ArchiveStore:
                     status = int(header["status"])
                     if not 0 <= status <= 599:
                         raise ValueError(f"response status out of range: {status}")
-                    # get_record builds Headers from these pairs: they must unpack
-                    for _name, _value in header["request_headers"]:
-                        pass
-                    for _name, _value in header["response_headers"]:
-                        pass
-                    pairs = tuple((str(d), str(v)) for d, v in header["variant"])
-                    key = keys.get(pairs)
-                    if key is None:
-                        key = keys[pairs] = VariantKey(pairs)
                     entry = IndexEntry(
-                        parse_timestamp14(header["datetime"]), key, int(header["id"])
+                        parse_timestamp14(header["datetime"]),
+                        self._variant_key(header["variant"]),
+                        int(header["id"]),
+                    )
+                    frame = _Frame(
+                        offset,
+                        end - offset,
+                        len(line),
+                        zlib.crc32(line),
+                        canonical,
+                        entry,
+                        status,
+                        self._header_list(header["request_headers"]),
+                        self._header_list(header["response_headers"]),
                     )
                 except _TornFrame:
                     found = _TORN_ID_RE.search(line)
@@ -484,9 +521,29 @@ class ArchiveStore:
                     break
                 except (KeyError, TypeError, ValueError) as exc:
                     raise StoreError(f"corrupt record frame: {exc}") from exc
-                self._register(uri_key, entry, _Frame(offset, end - offset, canonical, entry))
+                self._register(uri_key, frame)
                 offset = end
         self._size = offset
+
+    def _header_list(self, pairs: list) -> Headers:
+        """The shared `Headers` of a frame header's ``[[name, value], ...]``."""
+        key = tuple(map(tuple, pairs))
+        headers = self._header_lists.get(key)
+        if headers is None:
+            headers = Headers(key)  # raises unless every item is one pair
+            headers = self._header_lists[key] = self._headers.setdefault(headers, headers)
+        return headers
+
+    def _variant_key(self, pairs: list) -> VariantKey:
+        """The shared `VariantKey` of a frame header's ``[[dimension, value], ...]``."""
+        key = tuple(map(tuple, pairs))
+        variant_key = self._keys.get(key)
+        if variant_key is None:
+            variant_key = VariantKey(tuple((str(d), str(v)) for d, v in key))
+            variant_key = self._keys[key] = self._keys.setdefault(
+                variant_key.pairs, variant_key
+            )
+        return variant_key
 
     # -- write path -----------------------------------------------------------
 
@@ -504,11 +561,22 @@ class ArchiveStore:
             record = replace(record, id=self._next_id)
         if record.id in self._records:
             raise StoreError(f"record id {record.id} already present")
-        entry = IndexEntry(record.datetime, record.variant_key, record.id)
-        frame = _frame_header(record) + b"\n" + record.body + b"\n"
-        self._write_frame(frame, record.id)
-        self._register(str(record.uri), entry, _Frame(self._size, len(frame), record.uri, entry))
-        self._size += len(frame)
+        line = _frame_header(record) + b"\n"
+        self._write_frame(line + record.body + b"\n", record.id)
+        key = record.variant_key
+        frame = _Frame(
+            self._size,
+            len(line) + len(record.body) + 1,
+            len(line),
+            zlib.crc32(line),
+            record.uri,
+            IndexEntry(record.datetime, self._keys.setdefault(key.pairs, key), record.id),
+            record.response_status,
+            self._headers.setdefault(record.request_headers, record.request_headers),
+            self._headers.setdefault(record.response_headers, record.response_headers),
+        )
+        self._register(str(record.uri), frame)
+        self._size += frame.length
         self._index_unsynced = True
         try:
             self._index_file.write((_index_line(record) + "\n").encode("utf-8"))
@@ -547,12 +615,13 @@ class ArchiveStore:
                 raise StoreError(self._refusal) from exc
             raise StoreError(f"append of record {record_id} failed: {exc}") from exc
 
-    def _register(self, uri: str, entry: IndexEntry, frame: _Frame) -> None:
-        if entry.id in self._records:
-            raise StoreError(f"record id {entry.id} already present")
-        self._records[entry.id] = frame
-        self._by_uri[uri].add(entry)
-        self._next_id = max(self._next_id, entry.id + 1)
+    def _register(self, uri: str, frame: _Frame) -> None:
+        record_id = frame.entry.id
+        if record_id in self._records:
+            raise StoreError(f"record id {record_id} already present")
+        self._records[record_id] = frame
+        self._by_uri[uri].add(frame.entry)
+        self._next_id = max(self._next_id, record_id + 1)
 
     # -- read path ------------------------------------------------------------
 
@@ -595,30 +664,25 @@ class ArchiveStore:
         return _closest(candidates, target)
 
     def get_record(self, record_id: int) -> ArchiveRecord:
-        """Read one record back from its frame, reusing the fields the
-        index already holds."""
+        """Read one record back: pread its frame, check that its header line
+        is still the one the store indexed, and slice the body off."""
         frame = self._records.get(record_id)
         if frame is None:
             raise StoreError(f"no record with id {record_id}")
         if self._records_file is None:
             raise StoreError(f"archive at {self._directory} is closed")
         data = os.pread(self._records_file.fileno(), frame.length, frame.offset)
-        try:
-            split = data.index(b"\n")
-            header = json.loads(data[:split])
-            found = int(header["id"]) == record_id and len(data) == frame.length
-        except (KeyError, TypeError, ValueError):
-            found = False
-        if not found:
+        head = frame.header_length
+        if len(data) != frame.length or zlib.crc32(data[:head]) != frame.header_crc:
             raise StoreError(f"frame at offset {frame.offset} is not record {record_id}")
         return ArchiveRecord(
             id=record_id,
             uri=frame.uri,
             datetime=frame.entry.datetime,
-            request_headers=Headers(header["request_headers"]),
-            response_status=int(header["status"]),
-            response_headers=Headers(header["response_headers"]),
-            body=data[split + 1 : -1],
+            request_headers=frame.request_headers,
+            response_status=frame.status,
+            response_headers=frame.response_headers,
+            body=data[head:-1],
             variant_key=frame.entry.variant_key,
         )
 

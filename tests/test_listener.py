@@ -1,0 +1,170 @@
+"""http_core.make_listener's request parser, over a real socket.
+
+Each row is sent as raw bytes to the origin and replay listeners, and every
+row but the field-line errors also to a handler on `http.server`'s own
+parser, so the rows pin the limits and statuses the parser keeps from it.
+Each request is built so that the listener reads all of it before it
+answers and closes.
+"""
+
+from __future__ import annotations
+
+import re
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from archivelab.origin import SiteConfig, make_origin_server
+from archivelab.replay import ReplayMode, make_replay_server
+from archivelab.store import ArchiveStore
+from conftest import START, make_record
+
+URI = "https://a.example/"
+
+
+class _StdlibHandler(BaseHTTPRequestHandler):
+    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
+        self.send_response(200)
+        self.send_header("content-length", "2")
+        self.end_headers()
+        self.wfile.write(b"ok")
+
+    def log_message(self, fmt: str, *args) -> None:
+        pass
+
+
+def _serving(server):
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    return server
+
+
+@pytest.fixture(scope="module", params=["origin", "replay", "stdlib"])
+def listener(request, tmp_path_factory):
+    """(kind, port, a path the listener answers 200)."""
+    kind = request.param
+    store = None
+    if kind == "origin":
+        server, path = make_origin_server(SiteConfig(), 0), "/"
+    elif kind == "replay":
+        store = ArchiveStore.create(tmp_path_factory.mktemp("listener") / "arch")
+        store.append(make_record(URI, START, lang="kn", request_cookie="lang=kn"))
+        server = make_replay_server(store, ReplayMode.variant_aware(), 0)
+        path = f"/web/{START:%Y%m%d%H%M%S}/{URI}"
+    else:
+        server, path = ThreadingHTTPServer(("127.0.0.1", 0), _StdlibHandler), "/"
+    _serving(server)
+    try:
+        yield kind, server.server_address[1], path
+    finally:
+        server.shutdown()
+        server.server_close()
+        if store is not None:
+            store.close()
+
+
+def _exchange(port: int, request: bytes) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _answer(raw: bytes) -> tuple[int, bool]:
+    """(status, whether a status line was sent). A response without a status
+    line is an HTTP/0.9 one: an error page, or else the content served."""
+    if raw.startswith(b"HTTP/"):
+        return int(raw[9:12]), True
+    error = re.search(rb"Error code: (\d+)", raw)
+    return (int(error.group(1)) if error else 200), False
+
+
+def _fields(count: int) -> bytes:
+    return b"".join(b"X-F%d: v\r\n" % k for k in range(count))
+
+
+def _pad(line_bytes: int) -> bytes:
+    """One field line of exactly `line_bytes` bytes, CRLF included."""
+    return b"X-Pad: " + b"a" * (line_bytes - len(b"X-Pad: \r\n")) + b"\r\n"
+
+
+# (name, request built from the served path, status, status line sent)
+ROWS = [
+    ("request line of 65,537 bytes", lambda p: b"GET /" + b"a" * 65532, 414, True),
+    ("field line of 65,537 bytes",
+     lambda p: b"GET %s HTTP/1.0\r\n%s" % (p, _pad(65537)), 431, True),
+    ("field line of 65,536 bytes",
+     lambda p: b"GET %s HTTP/1.0\r\n%s\r\n" % (p, _pad(65536)), 200, True),
+    ("100 fields", lambda p: b"GET %s HTTP/1.0\r\n%s\r\n" % (p, _fields(100)), 431, True),
+    ("99 fields", lambda p: b"GET %s HTTP/1.0\r\n%s\r\n" % (p, _fields(99)), 200, True),
+    ("bad version", lambda p: b"GET %s HTTP/1.x\r\n" % p, 400, False),
+    ("non-ASCII digit in version", lambda p: b"GET %s HTTP/1.\xb2\r\n" % p, 400, False),
+    ("four words, version last", lambda p: b"GET %s x HTTP/1.0\r\n" % p, 400, True),
+    ("four words, word last", lambda p: b"GET %s HTTP/1.0 x\r\n" % p, 400, False),
+    ("HTTP/2.0", lambda p: b"GET %s HTTP/2.0\r\n" % p, 505, False),
+    ("HTTP/0.9 GET", lambda p: b"GET %s\r\n\r\n" % p, 200, False),
+    ("HTTP/0.9 POST", lambda p: b"POST %s\r\n" % p, 400, False),
+    ("HEAD", lambda p: b"HEAD %s HTTP/1.0\r\n\r\n" % p, 501, True),
+    ("bare LF line ends", lambda p: b"GET %s HTTP/1.0\nX-A: b\n\n" % p, 200, True),
+    ("leading // collapsed", lambda p: b"GET /%s HTTP/1.0\r\n\r\n" % p, 200, True),
+]
+# RFC 9112 §5.1-§5.2 field-line errors: http.server's parser answered these
+# 200 and dropped the bad line and every field after it
+NEW_ROWS = [
+    ("space before colon",
+     lambda p: b"GET %s HTTP/1.0\r\nHost : x\r\nCookie: lang=kn\r\n\r\n" % p, 400, True),
+    ("no colon", lambda p: b"GET %s HTTP/1.0\r\nX-A b\r\nCookie: lang=kn\r\n\r\n" % p, 400, True),
+    ("obs-fold", lambda p: b"GET %s HTTP/1.0\r\nX-A: b\r\n c\r\n\r\n" % p, 400, True),
+    ("empty field name", lambda p: b"GET %s HTTP/1.0\r\n: b\r\n\r\n" % p, 400, True),
+]
+
+
+@pytest.mark.parametrize(
+    "build, status, status_line, new",
+    [(*row[1:], False) for row in ROWS] + [(*row[1:], True) for row in NEW_ROWS],
+    ids=[row[0] for row in ROWS + NEW_ROWS],
+)
+def test_request_parsing_table(listener, build, status, status_line, new):
+    kind, port, path = listener
+    if kind == "stdlib" and new:
+        pytest.skip("http.server's parser answers 200 here")
+    raw = _exchange(port, build(path.encode("ascii")))
+    assert _answer(raw) == (status, status_line), raw[:200]
+
+
+def test_http09_get_is_the_body_alone(listener):
+    _, port, path = listener
+    full = _exchange(port, b"GET %s HTTP/1.0\r\n\r\n" % path.encode("ascii"))
+    assert full.startswith(b"HTTP/1.0 200 ")
+    assert _exchange(port, b"GET %s\r\n\r\n" % path.encode("ascii")) == full.partition(
+        b"\r\n\r\n"
+    )[2]
+
+
+def test_field_values_reach_the_handler(tmp_path):
+    """Names are case-blind, values lose surrounding whitespace, and repeated
+    fields all arrive: a variant-aware listener selects by the cookie."""
+    with ArchiveStore.create(tmp_path / "arch") as store:
+        store.append(make_record(URI, START, lang="kn", request_cookie="lang=kn"))
+        store.append(make_record(URI, START, lang="en", request_cookie="lang=en"))
+        server = _serving(make_replay_server(store, ReplayMode.variant_aware(), 0))
+        try:
+            port = server.server_address[1]
+            request = f"GET /web/{START:%Y%m%d%H%M%S}/{URI} HTTP/1.0\r\n".encode()
+            for cookie, lang in [
+                (b"COOKIE: \t lang=kn \t\r\n", b"kn"),
+                (b"Cookie: x=1\r\ncookie: lang=en\r\n", b"en"),
+            ]:
+                raw = _exchange(port, request + cookie + b"\r\n")
+                assert _answer(raw) == (200, True)
+                assert b"\r\ncontent-language: " + lang + b"\r\n" in raw.lower()
+                assert b"x-archive-fallback" not in raw.lower()
+        finally:
+            server.shutdown()
+            server.server_close()

@@ -72,6 +72,13 @@ class TestDeriveVariantKey:
         cfg = VariantConfig(content_cookie_names=frozenset({"lang", "a"}))
         assert variant_value(request, "cookie", cfg) == "a=2;lang=kn"
 
+    def test_key_dimensions_and_encoding(self):
+        key = VariantKey((("accept-language", "ur"), ("cookie", "lang=kn")))
+        assert key.dimensions == ("accept-language", "cookie")
+        assert key.encoded == '[["accept-language","ur"],["cookie","lang=kn"]]'
+        assert key.encoded is key.encoded  # computed once per key
+        assert key == VariantKey(key.pairs) and hash(key) == hash(VariantKey(key.pairs))
+
     def test_variant_matches(self):
         key = VariantKey((("cookie", "lang=kn"),))
         assert variant_matches(key, Headers([("cookie", "lang=kn; _sess=zz")]), CFG)
@@ -398,6 +405,53 @@ class TestDiskFormat:
             (tmp_path / "arch" / "records.dat").write_bytes(b"")
             with pytest.raises(StoreError, match="is not record 2"):
                 store.get_record(2)
+
+    @pytest.mark.parametrize("reopen", [False, True], ids=["appended", "reopened"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b'"status":200', b'"status":404'), (b'"lang=en"', b'"lang=kn"')],
+        ids=["status", "header value"],
+    )
+    def test_frame_header_rewritten_in_place_is_an_error(self, tmp_path, reopen, old, new):
+        directory = tmp_path / "arch"
+        records = directory / "records.dat"
+
+        def rewrite_second_header_then_read(store):
+            data = records.read_bytes()
+            second = data.index(b"\n", data.index(b"\n") + 1) + 1  # bodies hold no newline
+            changed = data[:second] + data[second:].replace(old, new, 1)
+            assert len(changed) == len(data) and changed != data
+            records.write_bytes(changed)
+            assert store.get_record(1).response_status == 200
+            with pytest.raises(StoreError, match="is not record 2"):
+                store.get_record(2)
+
+        with ArchiveStore.create(directory, CFG) as store:
+            for uri in ("https://a.example/", "https://b.example/"):
+                store.append(make_record(uri, START, request_cookie="lang=en"))
+            if not reopen:
+                rewrite_second_header_then_read(store)
+        if reopen:
+            with ArchiveStore.open(directory) as store:
+                rewrite_second_header_then_read(store)
+
+    def test_equal_header_lists_share_one_headers(self, tmp_path):
+        directory = tmp_path / "arch"
+        uris = ["https://a.example/", "https://b.example/", "https://a.example/"]
+        with ArchiveStore.create(directory, CFG) as store:
+            for k, uri in enumerate(uris):
+                store.append(make_record(uri, START + timedelta(seconds=k), lang="kn"))
+            appended = list(store.iter_records())
+        with ArchiveStore.open(directory) as store:
+            reopened = list(store.iter_records())
+        for records in (appended, reopened):
+            first, second, third = records
+            assert first.response_headers is third.response_headers
+            assert first.request_headers is third.request_headers
+            assert first.request_headers is not second.request_headers  # host differs
+            assert first.response_headers is second.response_headers
+            assert first.variant_key is second.variant_key
+        assert appended == reopened
 
     def test_random_archives_round_trip(self, tmp_path):
         rng = random.Random(6006)
