@@ -1,21 +1,26 @@
 """Minimal HTTP message model and header parsers shared by the whole pipeline.
 
-Everything here but `make_listener` is a pure function over immutable
+Everything here but the listener is a pure function over immutable
 values: requests, responses, cookies, canonical URIs, and the parsers for
 Set-Cookie, Cookie, Vary, and Accept-Language. No clocks; callers pass `now`
 explicitly. `make_listener` is the one TCP listener factory, shared by the
-origin and replay servers; it installs the one request parser, which reads
-the request line by `http.server`'s rules and the field lines straight into
-a `Headers`, without the `email` package.
+origin and replay servers. Its listener serves each connection on the
+thread that accepted it, from a fixed pool, and installs the one request
+parser, which reads the request line by `http.server`'s rules and the field
+lines straight into a `Headers`, without the `email` package.
 """
 
 from __future__ import annotations
 
 import re
+import socket
+import threading
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import ClassVar, Iterable, Iterator
 
 __all__ = [
@@ -37,7 +42,9 @@ __all__ = [
     "parse_cookie_date",
     "format_timestamp14",
     "parse_timestamp14",
+    "format_http_date",
     "ensure_utc",
+    "Listener",
     "make_listener",
 ]
 
@@ -81,6 +88,29 @@ def parse_timestamp14(value: str) -> datetime:
         int(value[10:12]),
         int(value[12:14]),
         tzinfo=UTC,
+    )
+
+
+_DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTH_NAMES = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+
+def format_http_date(dt: datetime) -> str:
+    """Render a datetime as an RFC 9110 §5.6.7 IMF-fixdate, such as
+    `Sun, 06 Nov 1994 08:49:37 GMT`; the names are English whatever the
+    locale, and fractions of a second are dropped."""
+    dt = ensure_utc(dt)
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAY_NAMES[dt.weekday()],
+        dt.day,
+        _MONTH_NAMES[dt.month - 1],
+        dt.year,
+        dt.hour,
+        dt.minute,
+        dt.second,
     )
 
 
@@ -355,10 +385,7 @@ _DATE_TOKEN_RE = re.compile(r"[^\x09\x20-\x2f\x3b-\x40\x5b-\x60\x7b-\x7e]+")
 _DATE_TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\D|$)", re.ASCII)
 _DATE_DAY_RE = re.compile(r"(\d{1,2})(?:\D|$)", re.ASCII)
 _DATE_YEAR_RE = re.compile(r"(\d{2,4})(?:\D|$)", re.ASCII)
-_MONTHS = {
-    "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
-    "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
-}
+_MONTHS = {name.lower(): number for number, name in enumerate(_MONTH_NAMES, start=1)}
 _MAX_AGE_RE = re.compile(r"^-?\d+$")
 _IPV4_RE = re.compile(r"^\d+\.\d+\.\d+\.\d+$")
 
@@ -686,24 +713,119 @@ def _parse_request(self: BaseHTTPRequestHandler) -> bool:
     return True
 
 
+# Threads per listener, and how long a connection may keep one waiting for
+# request bytes before the server drops it.
+_WORKERS = 16
+_READ_TIMEOUT_S = 30
+
+
+class Listener(HTTPServer):
+    """An HTTP listener whose `_WORKERS` threads each accept connections and
+    serve them on their own stack.
+
+    `serve_forever` starts the threads. Each blocks in `accept()` on the
+    listening socket, and Linux wakes one waiter per connection, so nothing
+    is handed from one thread to another. A connection holds its thread
+    until it closes or a read waits longer than the handler's `timeout`:
+    under HTTP/1.1, a persistent connection would hold one thread for its
+    whole life.
+
+    `shutdown()` shuts the listening socket, which on Linux wakes every
+    thread blocked in `accept()`, and returns once none is left there. It
+    does not wait for a thread that is serving: that thread finishes its
+    connection and then exits. The threads are daemons, and a listener that
+    was shut down does not serve again.
+    """
+
+    def __init__(self, address: tuple[str, int], handler: type[BaseHTTPRequestHandler]):
+        super().__init__(address, handler)
+        self._state = threading.Condition()
+        self._stopping = False
+        self._accepting = 0  # threads in accept(), or about to enter it
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until `shutdown()`, or shut down when an exception (such as
+        Ctrl-C) ends the wait. Nothing polls: `poll_interval` is kept for
+        `socketserver.BaseServer`'s signature."""
+        for _ in range(_WORKERS):
+            threading.Thread(target=self._work, daemon=True).start()
+        try:
+            with self._state:
+                self._state.wait_for(lambda: self._stopping)
+        finally:
+            self.shutdown()
+
+    def shutdown(self) -> None:
+        with self._state:
+            self._stopping = True
+            self._state.notify_all()
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # the socket is closed already
+            pass
+        with self._state:
+            self._state.wait_for(lambda: not self._accepting)
+
+    def _work(self) -> None:
+        while True:
+            with self._state:
+                if self._stopping:
+                    return
+                self._accepting += 1
+            try:
+                request, client_address = self.get_request()
+            except OSError:  # shut down, or a connection aborted before accept
+                request = None
+            with self._state:
+                self._accepting -= 1
+                if self._stopping:
+                    self._state.notify_all()
+            if request is None:
+                continue
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+
 def make_listener(
     handler: type[BaseHTTPRequestHandler], port: int, **attributes
-) -> ThreadingHTTPServer:
-    """Build (but do not start) a threaded listener on 127.0.0.1:port.
+) -> Listener:
+    """Build (but do not start) a listener on 127.0.0.1:port.
 
     Port 0 picks a free port. Each listener gets its own subclass of
     `handler` carrying `attributes` as class attributes, with request
-    logging silenced and requests parsed by `_parse_request`, so
-    `self.headers` is a `Headers`.
+    logging silenced, requests parsed by `_parse_request` (so
+    `self.headers` is a `Headers`), a read timeout of `_READ_TIMEOUT_S`
+    and `Date` fields formatted by `format_http_date`. `serve_forever`
+    serves connections on `_WORKERS` threads, each connection on the thread
+    that accepted it; see `Listener`.
     """
     name = handler.__name__.lstrip("_")
     subclass = type(
         name,
         (handler,),
-        {**attributes, "log_message": _no_log, "parse_request": _parse_request},
+        {
+            "timeout": _READ_TIMEOUT_S,
+            **attributes,
+            "log_message": _no_log,
+            "parse_request": _parse_request,
+            "date_time_string": _date_time_string,
+        },
     )
-    return ThreadingHTTPServer(("127.0.0.1", port), subclass)
+    return Listener(("127.0.0.1", port), subclass)
 
 
 def _no_log(self, fmt: str, *args) -> None:
     pass
+
+
+def _date_time_string(self, timestamp: float | None = None) -> str:
+    return _http_date_of_second(int(time.time() if timestamp is None else timestamp))
+
+
+@lru_cache(maxsize=1)
+def _http_date_of_second(second: int) -> str:
+    return format_http_date(datetime.fromtimestamp(second, UTC))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Callable
 
@@ -24,6 +24,7 @@ from .http_core import (
     Headers,
     HttpRequest,
     HttpResponse,
+    Listener,
     canonicalize,
     make_listener,
     parse_accept_language,
@@ -332,6 +333,6 @@ class _OriginHandler(BaseHTTPRequestHandler):
         self.wfile.write(response.body)
 
 
-def make_origin_server(site: SiteConfig, port: int) -> ThreadingHTTPServer:
+def make_origin_server(site: SiteConfig, port: int) -> Listener:
     """Build (but do not start) the TCP listener; port 0 picks a free port."""
     return make_listener(_OriginHandler, port, site=site)

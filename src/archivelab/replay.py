@@ -24,18 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from email.utils import format_datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 from .cookiejar import CookieJar
 from .crawler import extract_fragment_refs
 from .http_core import (
     CanonicalUri,
     Headers,
+    Listener,
     UriError,
     canonicalize,
     ensure_utc,
     format_cookie_header,
+    format_http_date,
     make_listener,
     parse_cookie_header,
     parse_timestamp14,
@@ -207,7 +208,7 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         content_language = record.response_headers.get("content-language")
         if content_language is not None:
             self.send_header("content-language", content_language)
-        self.send_header("memento-datetime", format_datetime(record.datetime, usegmt=True))
+        self.send_header("memento-datetime", format_http_date(record.datetime))
         self.send_header("x-archive-variant", record.variant_key.encoded)
         if self.mode.kind == VARIANT_AWARE and not variant_matches(
             record.variant_key, request, self.store.variant_config
@@ -223,7 +224,7 @@ def make_replay_server(
     mode: ReplayMode,
     port: int,
     base_jar: CookieJar | None = None,
-) -> ThreadingHTTPServer:
+) -> Listener:
     """Build (but do not start) the replay listener on 127.0.0.1:port.
 
     Serves GET /web/<14-digit-timestamp>/<absolute-URI> from a read-only

@@ -699,7 +699,16 @@ class ArchiveStore:
     def verify(self) -> list[str]:
         """Problems found by checking that each frame has exactly one
         `index.cdxj` row, equal to the row it writes, and a variant key that
-        re-derives from its header pair."""
+        re-derives from its header pair. Each frame is read once."""
+        rows: dict[int, str] = {}
+        unreproducible: set[int] = set()
+        for record in self.iter_records():
+            rows[record.id] = _index_line(record)
+            rederived = derive_variant_key(
+                record.request_headers, record.response_headers, self.variant_config
+            )
+            if rederived != record.variant_key:
+                unreproducible.add(record.id)
         problems: list[str] = []
         indexed: set[int] = set()
         with open(self._directory / INDEX_NAME, encoding="utf-8") as fh:
@@ -710,21 +719,18 @@ class ArchiveStore:
                 except (IndexError, KeyError, TypeError, ValueError):
                     problems.append(f"index line {lineno} malformed: {line!r}")
                     continue
-                if record_id not in self._records:
+                if record_id not in rows:
                     problems.append(f"index line {lineno} names missing record {record_id}")
                 elif record_id in indexed:
                     problems.append(f"index line {lineno} repeats record {record_id}")
-                elif line != _index_line(self.get_record(record_id)):
+                elif line != rows[record_id]:
                     problems.append(f"index row for record {record_id} disagrees with its frame")
                 indexed.add(record_id)
-        for record in self.iter_records():
-            if record.id not in indexed:
-                problems.append(f"record {record.id} missing from index")
-            rederived = derive_variant_key(
-                record.request_headers, record.response_headers, self.variant_config
-            )
-            if rederived != record.variant_key:
-                problems.append(f"variant key of record {record.id} not reproducible")
+        for record_id in rows:
+            if record_id not in indexed:
+                problems.append(f"record {record_id} missing from index")
+            if record_id in unreproducible:
+                problems.append(f"variant key of record {record_id} not reproducible")
         return problems
 
     def close(self) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import email.utils
 import os
 import pickle
 import random
@@ -401,3 +402,25 @@ def test_parse_timestamp14():
     for bad in ("2019", "20191301120000", "2019010112000x"):
         with pytest.raises(ValueError):
             parse_timestamp14(bad)
+
+
+def test_format_http_date_matches_email_utils():
+    rng = random.Random(9110)
+    days = [datetime(2020, 2, 29, 23, 59, 59, tzinfo=UTC), datetime(2024, 2, 29, tzinfo=UTC)]
+    days += [datetime(1999, 12, day, 7, 5, 3, 999999, tzinfo=UTC) for day in range(1, 10)]
+    days += [
+        datetime(1900, 1, 1, tzinfo=UTC) + timedelta(seconds=rng.randrange(200 * 365 * 86400))
+        for _ in range(500)
+    ]
+    for dt in days:
+        assert http_core.format_http_date(dt) == email.utils.format_datetime(dt, usegmt=True)
+    naive = datetime(2019, 6, 1, 10, 30)
+    assert http_core.format_http_date(naive) == "Sat, 01 Jun 2019 10:30:00 GMT"
+
+
+def test_listener_date_matches_email_utils():
+    rng = random.Random(7231)
+    stamps = [rng.uniform(0, 2**31) for _ in range(200)]
+    stamps += [stamps[0], stamps[0] + 0.25, 951782400.0]  # same second; 2000-02-29
+    for ts in stamps:
+        assert http_core._date_time_string(None, ts) == email.utils.formatdate(ts, usegmt=True)

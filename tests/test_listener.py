@@ -1,10 +1,13 @@
-"""http_core.make_listener's request parser, over a real socket.
+"""http_core.make_listener's listeners, over a real socket.
 
-Each row is sent as raw bytes to the origin and replay listeners, and every
-row but the field-line errors also to a handler on `http.server`'s own
-parser, so the rows pin the limits and statuses the parser keeps from it.
-Each request is built so that the listener reads all of it before it
-answers and closes.
+The request parser: each row is sent as raw bytes to the origin and replay
+listeners, and every row but the field-line errors also to a handler on
+`http.server`'s own parser, so the rows pin the limits and statuses the
+parser keeps from it. Each request is built so that the listener reads all
+of it before it answers and closes.
+
+The thread pool: silent connections hold threads only until they time out,
+and `shutdown()` does not wait for a connection that is mid-request.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import re
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from archivelab import http_core
 from archivelab.origin import SiteConfig, make_origin_server
 from archivelab.replay import ReplayMode, make_replay_server
 from archivelab.store import ArchiveStore
@@ -43,20 +48,23 @@ def _serving(server):
     return server
 
 
+def _build(kind, directory):
+    """(a listener, not yet serving, a path it answers 200, its store or None)."""
+    if kind == "origin":
+        return make_origin_server(SiteConfig(), 0), "/", None
+    if kind == "replay":
+        store = ArchiveStore.create(directory / "arch")
+        store.append(make_record(URI, START, lang="kn", request_cookie="lang=kn"))
+        server = make_replay_server(store, ReplayMode.variant_aware(), 0)
+        return server, f"/web/{START:%Y%m%d%H%M%S}/{URI}", store
+    return ThreadingHTTPServer(("127.0.0.1", 0), _StdlibHandler), "/", None
+
+
 @pytest.fixture(scope="module", params=["origin", "replay", "stdlib"])
 def listener(request, tmp_path_factory):
     """(kind, port, a path the listener answers 200)."""
     kind = request.param
-    store = None
-    if kind == "origin":
-        server, path = make_origin_server(SiteConfig(), 0), "/"
-    elif kind == "replay":
-        store = ArchiveStore.create(tmp_path_factory.mktemp("listener") / "arch")
-        store.append(make_record(URI, START, lang="kn", request_cookie="lang=kn"))
-        server = make_replay_server(store, ReplayMode.variant_aware(), 0)
-        path = f"/web/{START:%Y%m%d%H%M%S}/{URI}"
-    else:
-        server, path = ThreadingHTTPServer(("127.0.0.1", 0), _StdlibHandler), "/"
+    server, path, store = _build(kind, tmp_path_factory.mktemp("listener"))
     _serving(server)
     try:
         yield kind, server.server_address[1], path
@@ -65,6 +73,28 @@ def listener(request, tmp_path_factory):
         server.server_close()
         if store is not None:
             store.close()
+
+
+@pytest.fixture(params=["origin", "replay"])
+def own_listener(request, tmp_path):
+    """(a listener of this test's own, not yet serving, a path it answers 200)."""
+    server, path, store = _build(request.param, tmp_path)
+    try:
+        yield server, path.encode("ascii")
+    finally:
+        _shut_down(server, within=5)
+        server.server_close()
+        if store is not None:
+            store.close()
+
+
+def _shut_down(server, within: float) -> None:
+    """`server.shutdown()`, failing instead of hanging when it has not
+    returned within `within` seconds."""
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(within)
+    assert not stopper.is_alive(), f"shutdown() has not returned after {within} s"
 
 
 def _exchange(port: int, request: bytes) -> bytes:
@@ -168,3 +198,59 @@ def test_field_values_reach_the_handler(tmp_path):
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _connect(port: int) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", port), timeout=5)
+
+
+def _get(port: int, path: bytes) -> tuple[int, bool]:
+    return _answer(_exchange(port, b"GET %s HTTP/1.0\r\n\r\n" % path))
+
+
+def test_get_is_answered_while_other_connections_sit_silent(own_listener):
+    server, path = own_listener
+    port = _serving(server).server_address[1]
+    silent = [_connect(port) for _ in range(http_core._WORKERS - 1)]
+    try:
+        assert _get(port, path) == (200, True)
+    finally:
+        for sock in silent:
+            sock.close()
+
+
+def test_silent_connections_are_dropped_after_the_read_timeout(own_listener):
+    server, path = own_listener
+    handler = server.RequestHandlerClass
+    assert handler.timeout == http_core._READ_TIMEOUT_S
+    handler.timeout = 0.2
+    port = _serving(server).server_address[1]
+    silent = [_connect(port) for _ in range(http_core._WORKERS)]
+    try:
+        for sock in silent:
+            assert sock.recv(1) == b""  # closed by the server, no answer
+        assert _get(port, path) == (200, True)
+    finally:
+        for sock in silent:
+            sock.close()
+
+
+@pytest.mark.parametrize("run", range(10))
+def test_shutdown_does_not_wait_for_a_connection_mid_request(own_listener, run):
+    server, path = own_listener
+    before = set(threading.enumerate())
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+    with _connect(port) as stalled:
+        stalled.sendall(b"GET /we")
+        # connections are accepted in arrival order, so once a later GET is
+        # answered, a thread of the listener is reading `stalled`
+        assert _get(port, path) == (200, True)
+        _shut_down(server, within=1)
+        thread.join(1)
+        assert not thread.is_alive()
+    deadline = time.monotonic() + 5
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) - before == set()

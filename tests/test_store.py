@@ -228,6 +228,21 @@ class TestDiskFormat:
             problems = tampered.verify()
         assert problems == ["index row for record 1 disagrees with its frame"]
 
+    def test_verify_reads_each_frame_once(self, tmp_path, monkeypatch):
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            self._populate(store)
+        real_pread = os.pread
+        offsets = []
+
+        def counting_pread(fd, length, offset):
+            offsets.append(offset)
+            return real_pread(fd, length, offset)
+
+        with ArchiveStore.open(tmp_path / "arch") as reopened:
+            monkeypatch.setattr(os, "pread", counting_pread)
+            assert reopened.verify() == []
+        assert len(offsets) == len(set(offsets)) == len(reopened) == 3
+
     def test_failed_index_row_write_keeps_the_capture_and_its_id(self, tmp_path):
         class FullDisk:
             """Index file whose first write fails as a full disk would."""
