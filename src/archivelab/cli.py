@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from datetime import timedelta
 from pathlib import Path
 
@@ -44,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@contextmanager
+def _option_values():
+    """Read option values inside this block, before any work: a ValueError
+    raised there is a usage error, which `main` reports with exit code 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from exc
 
 
 def _cfg(args: argparse.Namespace, key: str, default):
@@ -109,9 +120,11 @@ def cmd_serve_origin(args: argparse.Namespace) -> int:
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
-    site = _site_from_args(args)
-    seeds = _cfg(args, "seed", None) or [site.base() + "/"]
-    try:
+    with _option_values():
+        site = _site_from_args(args)
+        seeds = _cfg(args, "seed", None) or [site.base() + "/"]
+        for seed in seeds:
+            canonicalize(seed)
         policy = CrawlPolicy(
             jar_policy=JarPolicy(
                 max_ttl=_parse_ttl(_cfg(args, "cookie_max_ttl", "300")),
@@ -122,9 +135,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
             clock_step=timedelta(seconds=float(_cfg(args, "clock_step", 1.0))),
         )
         start = parse_timestamp14(str(_cfg(args, "start", "20190101000000")))
-    except ValueError as exc:
-        print(f"archivelab crawl: usage error: {exc}", file=sys.stderr)
-        return 1
     cfg = _variant_config(args)
 
     jar = None
@@ -148,11 +158,13 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    store = ArchiveStore.open(args.archive)
     mode = _replay_mode(args)
     port = int(_cfg(args, "port", 8081))
     base_jar = _request_cookie_jar(args)
-    with make_replay_server(store, mode, port, base_jar=base_jar) as server:
+    with (
+        ArchiveStore.open(args.archive) as store,
+        make_replay_server(store, mode, port, base_jar=base_jar) as server,
+    ):
         print(
             f"replaying {len(store)} captures ({mode.kind}) on "
             f"http://127.0.0.1:{server.server_address[1]}/web/<timestamp>/<uri>",
@@ -164,32 +176,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     archive = args.archive
-    uri = canonicalize(args.uri)
+    with _option_values():
+        uri = canonicalize(args.uri)
     fmt = _cfg(args, "format", "text")
     with ArchiveStore.open(archive) as store:
         compare = _cfg(args, "compare", None)
         if compare:
             with ArchiveStore.open(compare) as other:
                 report = bias_report(store, other, uri, str(archive), str(compare))
-                output = (
-                    json.dumps(report.to_json(), indent=2)
-                    if fmt == "json"
-                    else report.to_text()
-                )
+            payload, text = report.to_json(), report.to_text()
         else:
             dist = distribution(store, uri)
-            if fmt == "json":
-                output = json.dumps({"uri": dist.uri, **dist.to_json()}, indent=2)
-            else:
-                output = f"language distribution of {dist.uri}\n{dist.to_text()}"
-    print(output)
+            payload = {"uri": dist.uri, **dist.to_json()}
+            text = f"language distribution of {dist.uri}\n{dist.to_text()}"
+    print(json.dumps(payload, indent=2) if fmt == "json" else text)
     return 0
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     archive = args.archive
-    uri = canonicalize(args.uri)
-    target = parse_timestamp14(str(args.timestamp))
+    with _option_values():
+        uri = canonicalize(args.uri)
+        target = parse_timestamp14(str(args.timestamp))
     mode = _replay_mode(args)
     lang = _cfg(args, "lang", None)
     request = Headers([("cookie", f"lang={lang}")] if lang else [])
@@ -225,7 +233,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     site_path = _cfg(args, "site_config", None)
-    try:
+    with _option_values():
         plan = DemoPlan(
             out_dir=Path(args.out),
             sessions=int(_cfg(args, "sessions", 1)),
@@ -233,9 +241,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
             seed=_cfg(args, "seed", None),
             max_pages=int(_cfg(args, "max_pages", 150)),
         )
-    except ValueError as exc:
-        print(f"archivelab demo: usage error: {exc}", file=sys.stderr)
-        return 1
     result = run_demo(plan)
     bias = result.report["bias"]
     scenario = result.report["scenario"]
@@ -342,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     args._config = config
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"archivelab {args.command}: usage error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         raise
     except Exception as exc:  # runtime failures map to exit 2 by contract

@@ -4,10 +4,11 @@ Everything here but the listener is a pure function over immutable
 values: requests, responses, cookies, canonical URIs, and the parsers for
 Set-Cookie, Cookie, Vary, and Accept-Language. No clocks; callers pass `now`
 explicitly. `make_listener` is the one TCP listener factory, shared by the
-origin and replay servers. Its listener serves each connection on the
-thread that accepted it, from a fixed pool, and installs the one request
-parser, which reads the request line by `http.server`'s rules and the field
-lines straight into a `Headers`, without the `email` package.
+origin and replay servers: one handler class parses each request, asks the
+server's `respond(path, headers)`, and writes the answer. The listener
+serves each connection on the thread that accepted it, from a fixed pool.
+The request parser reads the request line by `http.server`'s rules and the
+field lines straight into a `Headers`, without the `email` package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 __all__ = [
     "UTC",
@@ -44,6 +45,7 @@ __all__ = [
     "parse_timestamp14",
     "format_http_date",
     "ensure_utc",
+    "HttpError",
     "Listener",
     "make_listener",
 ]
@@ -719,6 +721,50 @@ _WORKERS = 16
 _READ_TIMEOUT_S = 30
 
 
+def _date_time_string(self, timestamp: float | None = None) -> str:
+    return _http_date_of_second(int(time.time() if timestamp is None else timestamp))
+
+
+@lru_cache(maxsize=1)
+def _http_date_of_second(second: int) -> str:
+    return format_http_date(datetime.fromtimestamp(second, UTC))
+
+
+class HttpError(Exception):
+    """Raised by a listener's `respond` as `HttpError(status)` or
+    `HttpError(status, message)`, to answer `send_error` with those args."""
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """The one handler of both listeners. `make_listener` subclasses it once
+    per listener, with that listener's `respond` as a static method."""
+
+    headers: Headers  # set by `parse_request`
+    respond: Callable[[str, Headers], HttpResponse]
+    timeout = _READ_TIMEOUT_S
+    parse_request = _parse_request
+    date_time_string = _date_time_string
+
+    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
+        """Write what `respond` returns: the status line, its fields in
+        order, Content-Length, then the body; or the error page of the
+        `HttpError` it raises."""
+        try:
+            response = self.respond(self.path, self.headers)
+        except HttpError as exc:
+            self.send_error(*exc.args)
+            return
+        self.send_response(response.status)
+        for name, value in response.headers:
+            self.send_header(name, value)
+        self.send_header("content-length", str(len(response.body)))
+        self.end_headers()
+        self.wfile.write(response.body)
+
+    def log_message(self, fmt: str, *args) -> None:
+        pass
+
+
 class Listener(HTTPServer):
     """An HTTP listener whose `_WORKERS` threads each accept connections and
     serve them on their own stack.
@@ -736,6 +782,9 @@ class Listener(HTTPServer):
     connection and then exits. The threads are daemons, and a listener that
     was shut down does not serve again.
     """
+
+    # socketserver's backlog of 5 dropped the SYNs of a burst of connections
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address: tuple[str, int], handler: type[BaseHTTPRequestHandler]):
         super().__init__(address, handler)
@@ -791,41 +840,16 @@ class Listener(HTTPServer):
 
 
 def make_listener(
-    handler: type[BaseHTTPRequestHandler], port: int, **attributes
+    respond: Callable[[str, Headers], HttpResponse], port: int, name: str
 ) -> Listener:
     """Build (but do not start) a listener on 127.0.0.1:port.
 
-    Port 0 picks a free port. Each listener gets its own subclass of
-    `handler` carrying `attributes` as class attributes, with request
-    logging silenced, requests parsed by `_parse_request` (so
-    `self.headers` is a `Headers`), a read timeout of `_READ_TIMEOUT_S`
-    and `Date` fields formatted by `format_http_date`. `serve_forever`
-    serves connections on `_WORKERS` threads, each connection on the thread
-    that accepted it; see `Listener`.
+    Port 0 picks a free port. `respond(path, headers)` answers each GET
+    with the `HttpResponse` to send, or raises `HttpError`. Each listener
+    gets its own subclass of `_Handler`, named `name`, so that one
+    listener's `timeout` or `do_GET` can be changed alone. `serve_forever`
+    serves connections on `_WORKERS` threads; see `Listener`.
     """
-    name = handler.__name__.lstrip("_")
-    subclass = type(
-        name,
-        (handler,),
-        {
-            "timeout": _READ_TIMEOUT_S,
-            **attributes,
-            "log_message": _no_log,
-            "parse_request": _parse_request,
-            "date_time_string": _date_time_string,
-        },
-    )
-    return Listener(("127.0.0.1", port), subclass)
+    handler = type(name, (_Handler,), {"respond": staticmethod(respond)})
+    return Listener(("127.0.0.1", port), handler)
 
-
-def _no_log(self, fmt: str, *args) -> None:
-    pass
-
-
-def _date_time_string(self, timestamp: float | None = None) -> str:
-    return _http_date_of_second(int(time.time() if timestamp is None else timestamp))
-
-
-@lru_cache(maxsize=1)
-def _http_date_of_second(second: int) -> str:
-    return format_http_date(datetime.fromtimestamp(second, UTC))

@@ -7,21 +7,22 @@ query parameter (which also sets a sticky `lang` cookie scoped to /), the
 By default responses do NOT acknowledge the cookie in a Vary header, which
 is exactly what makes naive archiving of such sites go wrong.
 
-The server exists in two forms: `handle()` as an in-process function for
-deterministic simulation, and a real TCP listener for end-to-end tests.
+`handle()` serves one request in process, for deterministic simulation;
+`make_origin_server` puts it behind the shared TCP listener for end-to-end
+tests, with the request's `Host` field as the URI's host.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 from .http_core import (
     CanonicalUri,
     Headers,
+    HttpError,
     HttpRequest,
     HttpResponse,
     Listener,
@@ -134,15 +135,7 @@ class PageModel:
 
 
 def site_config_from_dict(data: dict) -> SiteConfig:
-    known = {
-        "host",
-        "languages",
-        "default_language",
-        "emit_vary",
-        "page_count",
-        "resources_per_page",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(SiteConfig)}
     if unknown:
         raise ValueError(f"unknown site config keys: {sorted(unknown)}")
     kwargs = dict(data)
@@ -313,26 +306,17 @@ def fetch_fn(site: SiteConfig) -> Callable[[HttpRequest], HttpResponse]:
     return fetch
 
 
-class _OriginHandler(BaseHTTPRequestHandler):
-    headers: Headers  # parsed by the request parser `make_listener` installs
-    site: SiteConfig  # set by make_origin_server
-
-    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
-        host = self.headers.get("Host", self.site.host).split(":")[0]
-        request = HttpRequest("GET", f"https://{host}{self.path}", self.headers)
-        try:
-            response = handle(request, self.site)
-        except ValueError:
-            self.send_error(400)
-            return
-        self.send_response(response.status)
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.send_header("content-length", str(len(response.body)))
-        self.end_headers()
-        self.wfile.write(response.body)
-
-
 def make_origin_server(site: SiteConfig, port: int) -> Listener:
-    """Build (but do not start) the TCP listener; port 0 picks a free port."""
-    return make_listener(_OriginHandler, port, site=site)
+    """Build (but do not start) the TCP listener; port 0 picks a free port.
+
+    A request whose `Host` or path makes no valid request URI is answered
+    400."""
+
+    def respond(path: str, headers: Headers) -> HttpResponse:
+        host = headers.get("host", site.host).split(":")[0]
+        try:
+            return handle(HttpRequest("GET", f"https://{host}{path}", headers), site)
+        except ValueError:
+            raise HttpError(400) from None
+
+    return make_listener(respond, port, "OriginHandler")

@@ -16,6 +16,10 @@ cookies of a cookie file (a jar) that are in scope for the URI and
 unexpired, and the request's own cookies win; the replay listener and
 ``archivelab detect`` both build their requests with it.
 
+The replay listener's answer to a GET is `_respond`, a plain function of
+the store, the mode, the jar, the path and the request headers; the
+shared listener of `http_core` writes it.
+
 Composite reconstruction never touches the live web: parts come from the
 store or are reported missing.
 """
@@ -24,13 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from http.server import BaseHTTPRequestHandler
+from functools import partial
 
 from .cookiejar import CookieJar
 from .crawler import extract_fragment_refs
 from .http_core import (
     CanonicalUri,
     Headers,
+    HttpError,
+    HttpResponse,
     Listener,
     UriError,
     canonicalize,
@@ -170,53 +176,42 @@ def replay_headers(
     return Headers([*request_headers, ("cookie", format_cookie_header(extra))])
 
 
-class _ReplayHandler(BaseHTTPRequestHandler):
-    headers: Headers  # parsed by the request parser `make_listener` installs
-    store: ArchiveStore
-    mode: ReplayMode
-    base_jar: CookieJar | None
+def _respond(
+    store: ArchiveStore, mode: ReplayMode, jar: CookieJar | None, path: str, headers: Headers
+) -> HttpResponse:
+    """The replay listener's answer to GET `path` with request `headers`."""
+    if not path.startswith("/web/"):
+        raise HttpError(404, "unknown endpoint; use /web/<timestamp>/<uri>")
+    timestamp, _, uri_str = path[len("/web/") :].partition("/")
+    try:
+        target = parse_timestamp14(timestamp)
+    except ValueError:
+        raise HttpError(400, "malformed 14-digit timestamp") from None
+    try:
+        uri = canonicalize(uri_str)
+    except UriError:
+        raise HttpError(400, "malformed archived URI") from None
 
-    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
-        if not self.path.startswith("/web/"):
-            self.send_error(404, "unknown endpoint; use /web/<timestamp>/<uri>")
-            return
-        timestamp, _, uri_str = self.path[len("/web/") :].partition("/")
-        try:
-            target = parse_timestamp14(timestamp)
-        except ValueError:
-            self.send_error(400, "malformed 14-digit timestamp")
-            return
-        try:
-            uri = canonicalize(uri_str)
-        except UriError:
-            self.send_error(400, "malformed archived URI")
-            return
-
-        request = replay_headers(self.headers, uri, target, self.base_jar)
-        record = select_memento(self.store, uri, target, self.mode, request)
-        if record is None:
-            self.send_error(404, "no matching capture")
-            return
-        if record.response_status:
-            self.send_response(record.response_status)
-        else:  # a failed fetch: the archive holds no response to replay
-            self.send_response(504)
-            self.send_header("x-archive-error", "capture-fetch-failed")
-        content_type = record.response_headers.get("content-type")
-        if content_type is not None:
-            self.send_header("content-type", content_type)
-        content_language = record.response_headers.get("content-language")
-        if content_language is not None:
-            self.send_header("content-language", content_language)
-        self.send_header("memento-datetime", format_http_date(record.datetime))
-        self.send_header("x-archive-variant", record.variant_key.encoded)
-        if self.mode.kind == VARIANT_AWARE and not variant_matches(
-            record.variant_key, request, self.store.variant_config
-        ):
-            self.send_header("x-archive-fallback", "variant-mismatch")
-        self.send_header("content-length", str(len(record.body)))
-        self.end_headers()
-        self.wfile.write(record.body)
+    request = replay_headers(headers, uri, target, jar)
+    record = select_memento(store, uri, target, mode, request)
+    if record is None:
+        raise HttpError(404, "no matching capture")
+    # status 0 is a failed fetch: the archive holds no response to replay
+    fields = [] if record.response_status else [("x-archive-error", "capture-fetch-failed")]
+    fields += [
+        (name, value)
+        for name in ("content-type", "content-language")
+        if (value := record.response_headers.get(name)) is not None
+    ]
+    fields += [
+        ("memento-datetime", format_http_date(record.datetime)),
+        ("x-archive-variant", record.variant_key.encoded),
+    ]
+    if mode.kind == VARIANT_AWARE and not variant_matches(
+        record.variant_key, request, store.variant_config
+    ):
+        fields.append(("x-archive-fallback", "variant-mismatch"))
+    return HttpResponse(record.response_status or 504, fields, record.body)
 
 
 def make_replay_server(
@@ -231,4 +226,4 @@ def make_replay_server(
     store snapshot. base_jar supplies default cookies for requests that do
     not carry their own (the --request-cookies CLI path).
     """
-    return make_listener(_ReplayHandler, port, store=store, mode=mode, base_jar=base_jar)
+    return make_listener(partial(_respond, store, mode, base_jar), port, "ReplayHandler")

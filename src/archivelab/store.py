@@ -21,19 +21,21 @@ On disk an archive is a directory of three files:
 Variant keys are computed at ingest time from the request/response header
 pair and stored; lookups never recompute them.
 
-`open` builds the in-memory index from the frame headers of `records.dat`
-alone, seeking past every body; a repeated frame id is a `StoreError`. It
-never writes: a torn final frame is left out of the index with a warning,
-and the next `append` cuts it off. Each frame is held as its offset and
-length, the length and CRC-32 of its header line, its response status, and
-its two header lists, interned: captures with equal lists share one
-`Headers`, and captures with equal variant keys share one `VariantKey`.
-`get_record` reads the frame back with `os.pread`, checks that its header
-line is still the one `open` or `append` saw, and slices the body off; it
-decodes no JSON. Each URI's captures are indexed twice: one list of all
-entries in (datetime, id) order, and the same entries grouped by dimension
-tuple, then by variant key, each group in (datetime, id) order. `nearest`
-bisects them.
+Each capture is held as one `IndexEntry`: its datetime, variant key, id,
+canonical URI, response status and two header lists, and where its frame
+lies, with the length and CRC-32 of its header line. `_index_entry` builds
+it from a frame's decoded header, for `open` and `append` alike: `open`
+decodes each header line of `records.dat`, seeking past every body, and
+`append` passes the header it has just encoded. Captures with equal header
+lists share one `Headers`, equal variant keys one `VariantKey`, and equal
+URI strings one `CanonicalUri`. A repeated frame id is a `StoreError`.
+`open` never writes: a torn final frame is left out of the index with a
+warning, and the next `append` cuts it off. `get_record` reads the frame
+back with `os.pread`, checks that its header line is still the one the
+entry was built from, and slices the body off; it decodes no JSON. Each
+URI's captures are indexed twice: one list of all entries in (datetime, id)
+order, and the same entries grouped by dimension tuple, then by variant
+key, each group in (datetime, id) order. `nearest` bisects them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -239,9 +241,22 @@ class ArchiveRecord:
 
 
 class IndexEntry(NamedTuple):
+    """One capture as the store holds it: where its frame lives in
+    `records.dat`, the length and CRC-32 of its header line (newline
+    included), and every field of that header but the body length. Its
+    header lists and variant key are interned."""
+
     datetime: datetime
     variant_key: VariantKey
     id: int
+    uri: CanonicalUri
+    status: int
+    request_headers: Headers
+    response_headers: Headers
+    offset: int
+    length: int
+    header_length: int
+    header_crc: int
 
 
 def _entry_datetime(entry: IndexEntry) -> datetime:
@@ -298,47 +313,13 @@ class _UriIndex:
         _add_sorted(self.entries, entry)
 
 
-class _Frame(NamedTuple):
-    """Where a record lives in `records.dat`, the length and CRC-32 of its
-    header line (newline included), and every field of that header but the
-    body length; its header lists and variant key are interned."""
-
-    offset: int
-    length: int
-    header_length: int
-    header_crc: int
-    uri: CanonicalUri
-    entry: IndexEntry
-    status: int
-    request_headers: Headers
-    response_headers: Headers
-
-
-def _frame_header(record: ArchiveRecord) -> bytes:
-    header = {
-        "id": record.id,
-        "uri": str(record.uri),
-        "datetime": record.timestamp14,
-        "request_headers": [[k, v] for k, v in record.request_headers],
-        "status": record.response_status,
-        "response_headers": [[k, v] for k, v in record.response_headers],
-        "variant": record.variant_key.to_json(),
-        "body_length": len(record.body),
-    }
-    return json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
+_dumps = partial(json.dumps, separators=(",", ":"), sort_keys=True)
 
 
 def _index_line(record: ArchiveRecord) -> str:
-    blob = json.dumps(
-        {
-            "id": record.id,
-            "status": record.response_status,
-            "variant": record.variant_key.to_json(),
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    )
-    return f"{record.uri} {record.timestamp14} {blob}"
+    blob = {"id": record.id, "status": record.response_status,
+            "variant": record.variant_key.to_json()}
+    return f"{record.uri} {record.timestamp14} {_dumps(blob)}"
 
 
 class _TornFrame(Exception):
@@ -381,12 +362,13 @@ class ArchiveStore:
     def __init__(self, directory: Path, variant_config: VariantConfig):
         self._directory = directory
         self.variant_config = variant_config
-        self._records: dict[int, _Frame] = {}  # id -> where its frame is
+        self._records: dict[int, IndexEntry] = {}
         # interned values: the one Headers per distinct list of a frame
-        # header, by that list and by value, and the one VariantKey per pairs
+        # header, the one VariantKey per pairs, and per URI string of a frame
+        # header its canonical URI and the key string it is indexed under
         self._header_lists: dict[tuple, Headers] = {}
-        self._headers: dict[Headers, Headers] = {}
         self._keys: dict[tuple, VariantKey] = {}
+        self._uris: dict[str, tuple[CanonicalUri, str]] = {}
         self._by_uri: defaultdict[str, _UriIndex] = defaultdict(_UriIndex)
         self._next_id = 1
         self._size = 0  # bytes of complete frames in records.dat
@@ -447,20 +429,18 @@ class ArchiveStore:
         """Index every frame of `records.dat` from its header line, seeking
         past its body.
 
-        Each distinct URI string is canonicalized once, and each distinct
-        header list and variant key built once. Only the bytes present at
-        the start of the scan are read, so frames another process appends
-        meanwhile wait for the next `open`. A final frame that ends early, as
-        a crash in `append` leaves it, is left out with a warning, and the
-        next `append` cuts it off; any other bad frame is a `StoreError`. The
-        file is never changed here.
+        Each entry is built by `_index_entry`, as `append` builds it. Only
+        the bytes present at the start of the scan are read, so frames
+        another process appends meanwhile wait for the next `open`. A final
+        frame that ends early, as a crash in `append` leaves it, is left out
+        with a warning, and the next `append` cuts it off; any other bad
+        frame is a `StoreError`. The file is never changed here.
         """
         path = self._directory / RECORDS_NAME
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
             raise StoreError(f"missing {RECORDS_NAME} in {self._directory}") from None
-        uris: dict[str, tuple[str, CanonicalUri]] = {}
         with fh:
             size = os.fstat(fh.fileno()).st_size
             offset = 0
@@ -485,30 +465,7 @@ class ArchiveStore:
                     fh.seek(length, os.SEEK_CUR)
                     if fh.read(1) != b"\n":
                         raise ValueError(f"no newline after the body of record {header.get('id')}")
-                    uri = uris.get(header["uri"])
-                    if uri is None:
-                        canonical = canonicalize(header["uri"])
-                        uri = uris[header["uri"]] = (str(canonical), canonical)
-                    uri_key, canonical = uri
-                    status = int(header["status"])
-                    if not 0 <= status <= 599:
-                        raise ValueError(f"response status out of range: {status}")
-                    entry = IndexEntry(
-                        parse_timestamp14(header["datetime"]),
-                        self._variant_key(header["variant"]),
-                        int(header["id"]),
-                    )
-                    frame = _Frame(
-                        offset,
-                        end - offset,
-                        len(line),
-                        zlib.crc32(line),
-                        canonical,
-                        entry,
-                        status,
-                        self._header_list(header["request_headers"]),
-                        self._header_list(header["response_headers"]),
-                    )
+                    uri_key, entry = self._index_entry(header, line, offset, end - offset)
                 except _TornFrame:
                     found = _TORN_ID_RE.search(line)
                     name = f"record {int(found.group(1))}" if found else "a record whose id was cut"
@@ -521,17 +478,47 @@ class ArchiveStore:
                     break
                 except (KeyError, TypeError, ValueError) as exc:
                     raise StoreError(f"corrupt record frame: {exc}") from exc
-                self._register(uri_key, frame)
+                self._register(uri_key, entry)
                 offset = end
         self._size = offset
+
+    def _index_entry(
+        self, header: dict, line: bytes, offset: int, length: int
+    ) -> tuple[str, IndexEntry]:
+        """The key string of a frame's URI and the frame's entry, from its
+        decoded header, its header line and where the frame lies.
+
+        Each distinct URI string is canonicalized once per store, and each
+        distinct header list and variant key built once.
+        """
+        uri = self._uris.get(header["uri"])
+        if uri is None:
+            canonical = canonicalize(header["uri"])
+            uri = self._uris[header["uri"]] = (canonical, str(canonical))
+        status = int(header["status"])
+        if not 0 <= status <= 599:
+            raise ValueError(f"response status out of range: {status}")
+        entry = IndexEntry(
+            parse_timestamp14(header["datetime"]),
+            self._variant_key(header["variant"]),
+            int(header["id"]),
+            uri[0],
+            status,
+            self._header_list(header["request_headers"]),
+            self._header_list(header["response_headers"]),
+            offset,
+            length,
+            len(line),
+            zlib.crc32(line),
+        )
+        return uri[1], entry
 
     def _header_list(self, pairs: list) -> Headers:
         """The shared `Headers` of a frame header's ``[[name, value], ...]``."""
         key = tuple(map(tuple, pairs))
         headers = self._header_lists.get(key)
         if headers is None:
-            headers = Headers(key)  # raises unless every item is one pair
-            headers = self._header_lists[key] = self._headers.setdefault(headers, headers)
+            headers = self._header_lists[key] = Headers(key)  # raises unless all are pairs
         return headers
 
     def _variant_key(self, pairs: list) -> VariantKey:
@@ -539,10 +526,7 @@ class ArchiveStore:
         key = tuple(map(tuple, pairs))
         variant_key = self._keys.get(key)
         if variant_key is None:
-            variant_key = VariantKey(tuple((str(d), str(v)) for d, v in key))
-            variant_key = self._keys[key] = self._keys.setdefault(
-                variant_key.pairs, variant_key
-            )
+            variant_key = self._keys[key] = VariantKey(tuple((str(d), str(v)) for d, v in key))
         return variant_key
 
     # -- write path -----------------------------------------------------------
@@ -552,7 +536,8 @@ class ArchiveStore:
 
         The record's variant key must already be derived. Duplicate
         (uri, datetime, variant) captures are allowed: append-only means
-        append-only. The capture is registered once its frame is fsynced. A
+        append-only. Its entry is built from the header it encodes, before
+        the frame is written, and registered once the frame is fsynced. A
         frame that fails to write or sync is cut off again, so its id stays
         free; a failed index-row write still raises, but the capture stays
         registered and its id is never reused.
@@ -561,22 +546,22 @@ class ArchiveStore:
             record = replace(record, id=self._next_id)
         if record.id in self._records:
             raise StoreError(f"record id {record.id} already present")
-        line = _frame_header(record) + b"\n"
+        header = {
+            "id": record.id,
+            "uri": str(record.uri),
+            "datetime": record.timestamp14,
+            "request_headers": [[k, v] for k, v in record.request_headers],
+            "status": record.response_status,
+            "response_headers": [[k, v] for k, v in record.response_headers],
+            "variant": record.variant_key.to_json(),
+            "body_length": len(record.body),
+        }
+        line = _dumps(header).encode("utf-8") + b"\n"
+        length = len(line) + len(record.body) + 1
+        uri_key, entry = self._index_entry(header, line, self._size, length)
         self._write_frame(line + record.body + b"\n", record.id)
-        key = record.variant_key
-        frame = _Frame(
-            self._size,
-            len(line) + len(record.body) + 1,
-            len(line),
-            zlib.crc32(line),
-            record.uri,
-            IndexEntry(record.datetime, self._keys.setdefault(key.pairs, key), record.id),
-            record.response_status,
-            self._headers.setdefault(record.request_headers, record.request_headers),
-            self._headers.setdefault(record.response_headers, record.response_headers),
-        )
-        self._register(str(record.uri), frame)
-        self._size += frame.length
+        self._register(uri_key, entry)
+        self._size += length
         self._index_unsynced = True
         try:
             self._index_file.write((_index_line(record) + "\n").encode("utf-8"))
@@ -615,12 +600,12 @@ class ArchiveStore:
                 raise StoreError(self._refusal) from exc
             raise StoreError(f"append of record {record_id} failed: {exc}") from exc
 
-    def _register(self, uri: str, frame: _Frame) -> None:
-        record_id = frame.entry.id
+    def _register(self, uri: str, entry: IndexEntry) -> None:
+        record_id = entry.id
         if record_id in self._records:
             raise StoreError(f"record id {record_id} already present")
-        self._records[record_id] = frame
-        self._by_uri[uri].add(frame.entry)
+        self._records[record_id] = entry
+        self._by_uri[uri].add(entry)
         self._next_id = max(self._next_id, record_id + 1)
 
     # -- read path ------------------------------------------------------------
@@ -666,24 +651,24 @@ class ArchiveStore:
     def get_record(self, record_id: int) -> ArchiveRecord:
         """Read one record back: pread its frame, check that its header line
         is still the one the store indexed, and slice the body off."""
-        frame = self._records.get(record_id)
-        if frame is None:
+        entry = self._records.get(record_id)
+        if entry is None:
             raise StoreError(f"no record with id {record_id}")
         if self._records_file is None:
             raise StoreError(f"archive at {self._directory} is closed")
-        data = os.pread(self._records_file.fileno(), frame.length, frame.offset)
-        head = frame.header_length
-        if len(data) != frame.length or zlib.crc32(data[:head]) != frame.header_crc:
-            raise StoreError(f"frame at offset {frame.offset} is not record {record_id}")
+        data = os.pread(self._records_file.fileno(), entry.length, entry.offset)
+        head = entry.header_length
+        if len(data) != entry.length or zlib.crc32(data[:head]) != entry.header_crc:
+            raise StoreError(f"frame at offset {entry.offset} is not record {record_id}")
         return ArchiveRecord(
             id=record_id,
-            uri=frame.uri,
-            datetime=frame.entry.datetime,
-            request_headers=frame.request_headers,
-            response_status=frame.status,
-            response_headers=frame.response_headers,
+            uri=entry.uri,
+            datetime=entry.datetime,
+            request_headers=entry.request_headers,
+            response_status=entry.status,
+            response_headers=entry.response_headers,
             body=data[head:-1],
-            variant_key=frame.entry.variant_key,
+            variant_key=entry.variant_key,
         )
 
     def iter_records(self) -> Iterator[ArchiveRecord]:

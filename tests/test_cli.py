@@ -7,6 +7,7 @@ import http.client
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import warnings
@@ -75,12 +76,31 @@ class TestExitCodes:
             (["--cookie-max-ttl", "-5"], "max_ttl must be >= 0"),
             (["--clock-step", "0"], "clock_step must be positive"),
             (["--start", "2019"], "not a 14-digit timestamp"),
+            (["--seed", "notauri"], "expected an absolute URI"),
         ],
     )
     def test_crawl_invalid_option_value_is_usage_error(self, tmp_path, capsys, flags, message):
         assert main(["crawl", "--out", str(tmp_path / "a"), *flags]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("detect", ["--timestamp", "2019"], "not a 14-digit timestamp"),
+            ("detect", ["--uri", "notauri"], "expected an absolute URI"),
+            ("analyze", ["--uri", "notauri"], "expected an absolute URI"),
+        ],
+    )
+    def test_read_invalid_option_value_is_usage_error(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        """Checked before the archive is opened: the missing one is not reached."""
+        defaults = ["--archive", str(tmp_path / "missing"), "--uri", "https://x.example/"]
+        if command == "detect":
+            defaults += ["--timestamp", "20190101000000"]
+        assert main([command, *defaults, *flags]) == 1
+        assert f"archivelab {command}: usage error: {message}" in capsys.readouterr().err
 
     def test_demo_unwritable_out_dir_is_exit_2(self, tmp_path):
         blocker = tmp_path / "file.txt"
@@ -128,6 +148,21 @@ class TestExitCodes:
             code = main(["demo", "--out", str(tmp_path / "demo"), "--max-pages", "20"])
             gc.collect()
         assert code == 2
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+    def test_replay_on_a_busy_port_closes_its_store(self, tmp_path, capsys):
+        assert _crawl(tmp_path) == 0
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                code = main(["replay", "--archive", str(tmp_path / "arch"), "--port", str(port)])
+                gc.collect()
+        assert code == 2
+        assert "Address already in use" in capsys.readouterr().err
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 

@@ -6,22 +6,28 @@ listeners, and every row but the field-line errors also to a handler on
 parser keeps from it. Each request is built so that the listener reads all
 of it before it answers and closes.
 
+The wire format: each response of the origin and replay listeners, as
+bytes, with only the `Server` and `Date` values masked.
+
 The thread pool: silent connections hold threads only until they time out,
 and `shutdown()` does not wait for a connection that is mid-request.
 """
 
 from __future__ import annotations
 
+import html
 import re
 import socket
 import threading
 import time
+from datetime import timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from archivelab import http_core
-from archivelab.origin import SiteConfig, make_origin_server
+from archivelab.http_core import HttpRequest
+from archivelab.origin import SiteConfig, handle, make_origin_server
 from archivelab.replay import ReplayMode, make_replay_server
 from archivelab.store import ArchiveStore
 from conftest import START, make_record
@@ -200,6 +206,123 @@ def test_field_values_reach_the_handler(tmp_path):
             server.server_close()
 
 
+MASKED = b"*"
+TS = START.strftime("%Y%m%d%H%M%S").encode()
+KN_BODY = b'<html lang="kn"><body>x</body></html>'
+
+
+def _error(status: int, message: str) -> tuple[bytes, list, bytes]:
+    """(status line, fields, body) of `send_error(status, message)`."""
+    body = (
+        BaseHTTPRequestHandler.error_message_format
+        % {
+            "code": status,
+            "message": html.escape(message, quote=False),
+            "explain": html.escape(BaseHTTPRequestHandler.responses[status][1], quote=False),
+        }
+    ).encode("utf-8")
+    return b"HTTP/1.0 %d %s" % (status, message.encode()), [
+        (b"Server", MASKED),
+        (b"Date", MASKED),
+        (b"Connection", b"close"),
+        (b"Content-Type", b"text/html;charset=utf-8"),
+        (b"Content-Length", b"%d" % len(body)),
+    ], body
+
+
+def _origin(path: str) -> tuple[bytes, list, bytes]:
+    response = handle(HttpRequest("GET", f"https://timeline.example{path}"), SiteConfig())
+    reason = {200: b"OK", 404: b"Not Found"}[response.status]
+    return b"HTTP/1.0 %d %s" % (response.status, reason), [
+        (b"Server", MASKED),
+        (b"Date", MASKED),
+        *((k.encode(), v.encode()) for k, v in response.headers),
+        (b"content-length", b"%d" % len(response.body)),
+    ], response.body
+
+
+def _capture(status_line: bytes, first: list, when: bytes, variant: bytes, last: list,
+             body: bytes) -> tuple[bytes, list, bytes]:
+    return status_line, [
+        (b"Server", MASKED),
+        (b"Date", MASKED),
+        *first,
+        (b"memento-datetime", when),
+        (b"x-archive-variant", variant),
+        *last,
+        (b"content-length", b"%d" % len(body)),
+    ], body
+
+
+HTML = (b"content-type", b"text/html; charset=utf-8")
+# (name, listener, request, expected (status line, fields in order, body))
+WIRE_ROWS = [
+    ("origin 200", "origin", b"GET / HTTP/1.0\r\n\r\n", _origin("/")),
+    ("origin 404", "origin", b"GET /nope HTTP/1.0\r\n\r\n", _origin("/nope")),
+    # no host to build a request URI from
+    ("origin empty Host", "origin", b"GET / HTTP/1.0\r\nHost:\r\n\r\n",
+     _error(400, "Bad Request")),
+    ("origin Host of a port alone", "origin", b"GET / HTTP/1.0\r\nHost: :8080\r\n\r\n",
+     _error(400, "Bad Request")),
+    ("replay baseline 200", "baseline",
+     b"GET /web/%s/%s HTTP/1.0\r\nCookie: lang=en\r\n\r\n" % (TS, URI.encode()),
+     _capture(b"HTTP/1.0 200 OK", [HTML, (b"content-language", b"kn")],
+              b"Tue, 01 Jan 2019 11:59:50 GMT", b'[["cookie","lang=kn"]]', [], KN_BODY)),
+    ("replay variant 200 fallback", "variant",
+     b"GET /web/%s/%s HTTP/1.0\r\nCookie: lang=ur\r\n\r\n" % (TS, URI.encode()),
+     _capture(b"HTTP/1.0 200 OK", [HTML, (b"content-language", b"kn")],
+              b"Tue, 01 Jan 2019 11:59:50 GMT", b'[["cookie","lang=kn"]]',
+              [(b"x-archive-fallback", b"variant-mismatch")], KN_BODY)),
+    ("replay 504", "variant", b"GET /web/%s/%sfailed HTTP/1.0\r\n\r\n" % (TS, URI.encode()),
+     _capture(b"HTTP/1.0 504 Gateway Timeout",
+              [(b"x-archive-error", b"capture-fetch-failed"), HTML],
+              b"Tue, 01 Jan 2019 12:00:00 GMT", b'[["cookie",""]]', [], b"")),
+    ("replay 400", "baseline", b"GET /web/2019/%s HTTP/1.0\r\n\r\n" % URI.encode(),
+     _error(400, "malformed 14-digit timestamp")),
+    ("replay 404", "variant", b"GET /web/%s/https://b.example/ HTTP/1.0\r\n\r\n" % TS,
+     _error(404, "no matching capture")),
+    ("replay 404 endpoint", "baseline", b"GET /elsewhere HTTP/1.0\r\n\r\n",
+     _error(404, "unknown endpoint; use /web/<timestamp>/<uri>")),
+]
+
+
+@pytest.fixture(scope="module")
+def wire_ports(tmp_path_factory):
+    """Ports of an origin listener and of baseline and variant-aware replay
+    listeners on one archive: a kn capture 10 s before START, an en capture
+    30 s after it, and a failed fetch at START."""
+    store = ArchiveStore.create(tmp_path_factory.mktemp("wire") / "arch")
+    store.append(make_record(URI, START - timedelta(seconds=10), lang="kn",
+                             request_cookie="lang=kn"))
+    store.append(make_record(URI, START + timedelta(seconds=30), lang="en",
+                             request_cookie="lang=en"))
+    store.append(make_record(URI + "failed", START, lang=None, status=0))
+    servers = {
+        "origin": make_origin_server(SiteConfig(), 0),
+        "baseline": make_replay_server(store, ReplayMode.baseline(), 0),
+        "variant": make_replay_server(store, ReplayMode.variant_aware(), 0),
+    }
+    try:
+        yield {kind: _serving(server).server_address[1] for kind, server in servers.items()}
+    finally:
+        for server in servers.values():
+            server.shutdown()
+            server.server_close()
+        store.close()
+
+
+@pytest.mark.parametrize(
+    "kind, request_bytes, expected", [row[1:] for row in WIRE_ROWS],
+    ids=[row[0] for row in WIRE_ROWS],
+)
+def test_wire_format_table(wire_ports, kind, request_bytes, expected):
+    head, _, body = _exchange(wire_ports[kind], request_bytes).partition(b"\r\n\r\n")
+    status_line, *lines = head.split(b"\r\n")
+    fields = [tuple(line.split(b": ", 1)) for line in lines]
+    fields = [(k, MASKED if k in (b"Server", b"Date") else v) for k, v in fields]
+    assert (status_line, fields, body) == expected
+
+
 def _connect(port: int) -> socket.socket:
     return socket.create_connection(("127.0.0.1", port), timeout=5)
 
@@ -216,6 +339,24 @@ def test_get_is_answered_while_other_connections_sit_silent(own_listener):
         assert _get(port, path) == (200, True)
     finally:
         for sock in silent:
+            sock.close()
+
+
+def test_connections_queue_before_the_listener_serves(own_listener):
+    """The listen backlog holds more connections than the pool has threads,
+    so a burst that arrives before they run waits for no SYN retransmit."""
+    server, _ = own_listener
+    port = server.server_address[1]
+    opened = []
+    try:
+        for _ in range(2 * http_core._WORKERS):
+            try:
+                opened.append(socket.create_connection(("127.0.0.1", port), timeout=0.5))
+            except OSError:
+                break
+        assert len(opened) == 2 * http_core._WORKERS
+    finally:
+        for sock in opened:
             sock.close()
 
 

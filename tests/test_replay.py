@@ -420,16 +420,21 @@ class TestHttpService:
             server.server_close()
 
     def test_each_listener_has_its_own_handler_class(self, store, new_store):
-        with _two_variant_store(new_store) as other:
+        with new_store(CFG) as other:
+            other.append(make_record(URI, START, lang="ur", request_cookie="lang=ur"))
             stores = [store, other]
-            servers = [make_replay_server(s, ReplayMode.baseline(), 0) for s in stores]
+            servers = [self._serve(s, ReplayMode.baseline())[0] for s in stores]
             try:
                 handlers = [server.RequestHandlerClass for server in servers]
                 assert handlers[0] is not handlers[1]
-                assert [handler.store for handler in handlers] == stores
-                assert handlers[0].protocol_version == "HTTP/1.0"
+                assert {handler.protocol_version for handler in handlers} == {"HTTP/1.0"}
+                path = f"/web/{START:%Y%m%d%H%M%S}/{URI}"
+                for server, lang in zip(servers, ["kn", "ur"]):
+                    response, _ = self._get(server.server_address[1], path)
+                    assert response.headers["Content-Language"] == lang
             finally:
                 for server in servers:
+                    server.shutdown()
                     server.server_close()
 
     def test_malformed_timestamp_400(self, store):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import os
 import random
 import warnings
@@ -186,6 +187,21 @@ class TestDiskFormat:
             assert {u: reopened.lookup(u) for u in reopened.uris()} == original_lookup
             assert reopened.variant_config == CFG
             assert reopened.verify() == []
+
+    def test_append_builds_the_entries_open_builds(self, tmp_path):
+        """Every field of an appended capture's entry, down to where its
+        frame lies, is what `open` reads back; the frames tile the file."""
+        directory = tmp_path / "arch"
+        with ArchiveStore.create(directory, CFG) as store:
+            self._populate(store)
+            appended = [entry for uri in store.uris() for entry in store.lookup(uri)]
+        with ArchiveStore.open(directory) as reopened:
+            assert [entry for uri in reopened.uris() for entry in reopened.lookup(uri)] == appended
+        spans = sorted((entry.offset, entry.length) for entry in appended)
+        assert [offset for offset, _ in spans] == [0] + list(
+            itertools.accumulate(length for _, length in spans[:-1])
+        )
+        assert sum(length for _, length in spans) == (directory / "records.dat").stat().st_size
 
     def test_append_after_reopen_continues_ids(self, tmp_path):
         with ArchiveStore.create(tmp_path / "arch") as store:
