@@ -232,12 +232,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    site_path = _cfg(args, "site_config", None)
     with _option_values():
         plan = DemoPlan(
             out_dir=Path(args.out),
             sessions=int(_cfg(args, "sessions", 1)),
-            site=load_site_config(site_path) if site_path else SiteConfig(),
+            site=_site_from_args(args),
             seed=_cfg(args, "seed", None),
             max_pages=int(_cfg(args, "max_pages", 150)),
         )

@@ -5,11 +5,11 @@ Two selection modes:
 * ``baseline`` reproduces what mainstream replay systems do: pick the
   capture nearest the target datetime, keyed on canonical URI alone. The
   replaying user's request headers are ignored entirely.
-* ``variant_aware`` first restricts candidates to captures whose stored
-  variant key the request's headers reproduce, then picks the nearest of
-  those; an empty restricted set falls back per the mode. The request's
-  values are always computed under the store's own `VariantConfig` (the
-  one recorded in ``meta.json``), the config the stored keys were made with.
+* ``variant_aware`` picks the nearest of the captures whose stored variant
+  key the request's headers reproduce; with none, the mode's fallback
+  decides, and the `Selection` names it. The request's values are always
+  computed under the store's own `VariantConfig` (the one recorded in
+  ``meta.json``), the config the stored keys were made with.
 
 A request is the replaying user's `Headers`. `replay_headers` adds the
 cookies of a cookie file (a jar) that are in scope for the URI and
@@ -17,8 +17,8 @@ unexpired, and the request's own cookies win; the replay listener and
 ``archivelab detect`` both build their requests with it.
 
 The replay listener's answer to a GET is `_respond`, a plain function of
-the store, the mode, the jar, the path and the request headers; the
-shared listener of `http_core` writes it.
+the store, the mode, the jar, the path and the request headers, which
+takes its ``X-Archive-Fallback`` from the `Selection`.
 
 Composite reconstruction never touches the live web: parts come from the
 store or are reported missing.
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
+from typing import NamedTuple
 
 from .cookiejar import CookieJar
 from .crawler import extract_fragment_refs
@@ -40,14 +41,13 @@ from .http_core import (
     Listener,
     UriError,
     canonicalize,
-    ensure_utc,
     format_cookie_header,
     format_http_date,
     make_listener,
     parse_cookie_header,
     parse_timestamp14,
 )
-from .store import ArchiveRecord, ArchiveStore, variant_matches
+from .store import ArchiveRecord, ArchiveStore
 
 __all__ = [
     "BASELINE",
@@ -55,6 +55,7 @@ __all__ = [
     "FALLBACK_NEAREST_ANY",
     "FALLBACK_NOT_FOUND",
     "ReplayMode",
+    "Selection",
     "CompositeMemento",
     "replay_headers",
     "select_memento",
@@ -90,6 +91,13 @@ class ReplayMode:
         return cls(VARIANT_AWARE, fallback)
 
 
+class Selection(NamedTuple):
+    """A chosen capture and the fallback that chose it: None on a match or in baseline mode."""
+
+    record: ArchiveRecord
+    fallback: str | None
+
+
 @dataclass(frozen=True)
 class CompositeMemento:
     """A selected root capture plus the independently selected captures of
@@ -97,7 +105,6 @@ class CompositeMemento:
 
     root: ArchiveRecord
     parts: tuple[tuple[str, ArchiveRecord | None], ...]
-    target_datetime: datetime
 
 
 def select_memento(
@@ -106,23 +113,25 @@ def select_memento(
     target: datetime,
     mode: ReplayMode,
     request_headers: Headers | None = None,
-) -> ArchiveRecord | None:
+) -> Selection | None:
     """Select the capture of `uri` to replay for `target`, or None.
 
     Baseline: nearest |datetime - target| over all captures, ties toward the
     earlier datetime then the smaller id; the request headers never change
     the result. Variant-aware: same rule over the captures whose variant key
-    the request headers reproduce under the store's config, falling back
-    per mode when none match.
+    the request headers reproduce under the store's config; when none does,
+    the mode's fallback decides, and `Selection.fallback` names it.
     """
-    entry = None
+    fallback = None
     if mode.kind == VARIANT_AWARE:
         entry = store.nearest(uri, target, request_headers or Headers())
-        if entry is None and mode.fallback == FALLBACK_NOT_FOUND:
+        if entry is not None:
+            return Selection(store.get_record(entry.id), None)
+        if mode.fallback == FALLBACK_NOT_FOUND:
             return None
-    if entry is None:
-        entry = store.nearest(uri, target)
-    return store.get_record(entry.id) if entry is not None else None
+        fallback = FALLBACK_NEAREST_ANY
+    entry = store.nearest(uri, target)
+    return Selection(store.get_record(entry.id), fallback) if entry is not None else None
 
 
 def reconstruct_composite(
@@ -140,14 +149,15 @@ def reconstruct_composite(
     root can be selected; missing parts are recorded as None, never fetched
     live.
     """
-    root = select_memento(store, uri, target, mode, request_headers)
-    if root is None:
+    selected = select_memento(store, uri, target, mode, request_headers)
+    if selected is None:
         return None
+    root = selected.record
     parts = []
     for part_uri in extract_fragment_refs(root.body, root.uri):
         selected = select_memento(store, part_uri, root.datetime, mode, request_headers)
-        parts.append((str(part_uri), selected))
-    return CompositeMemento(root, tuple(parts), ensure_utc(target))
+        parts.append((str(part_uri), None if selected is None else selected.record))
+    return CompositeMemento(root, tuple(parts))
 
 
 def replay_headers(
@@ -192,10 +202,10 @@ def _respond(
     except UriError:
         raise HttpError(400, "malformed archived URI") from None
 
-    request = replay_headers(headers, uri, target, jar)
-    record = select_memento(store, uri, target, mode, request)
-    if record is None:
+    selection = select_memento(store, uri, target, mode, replay_headers(headers, uri, target, jar))
+    if selection is None:
         raise HttpError(404, "no matching capture")
+    record = selection.record
     # status 0 is a failed fetch: the archive holds no response to replay
     fields = [] if record.response_status else [("x-archive-error", "capture-fetch-failed")]
     fields += [
@@ -207,9 +217,7 @@ def _respond(
         ("memento-datetime", format_http_date(record.datetime)),
         ("x-archive-variant", record.variant_key.encoded),
     ]
-    if mode.kind == VARIANT_AWARE and not variant_matches(
-        record.variant_key, request, store.variant_config
-    ):
+    if selection.fallback is not None:
         fields.append(("x-archive-fallback", "variant-mismatch"))
     return HttpResponse(record.response_status or 504, fields, record.body)
 

@@ -69,7 +69,6 @@ __all__ = [
     "VariantConfig",
     "derive_variant_key",
     "variant_value",
-    "variant_matches",
     "ArchiveRecord",
     "IndexEntry",
     "ArchiveStore",
@@ -203,14 +202,11 @@ def derive_variant_key(
     )
 
 
-def variant_matches(
-    key: VariantKey, request_headers: Headers, cfg: VariantConfig
-) -> bool:
-    """True when a request reproduces every dimension value of `key`."""
-    return all(
-        variant_value(request_headers, dimension, cfg) == value
-        for dimension, value in key.pairs
-    )
+def _checked_status(status: int) -> int:
+    """`status`, if a capture may hold it: 0 (a failed fetch) or 100 to 599."""
+    if status != 0 and not 100 <= status <= 599:
+        raise ValueError(f"response status out of range: {status}")
+    return status
 
 
 @dataclass(frozen=True)
@@ -232,8 +228,7 @@ class ArchiveRecord:
             normalized = normalized.replace(microsecond=0)
         if normalized is not self.datetime:
             object.__setattr__(self, "datetime", normalized)
-        if not 0 <= self.response_status <= 599:
-            raise ValueError(f"response status out of range: {self.response_status}")
+        _checked_status(self.response_status)
 
     @property
     def timestamp14(self) -> str:
@@ -495,15 +490,12 @@ class ArchiveStore:
         if uri is None:
             canonical = canonicalize(header["uri"])
             uri = self._uris[header["uri"]] = (canonical, str(canonical))
-        status = int(header["status"])
-        if not 0 <= status <= 599:
-            raise ValueError(f"response status out of range: {status}")
         entry = IndexEntry(
             parse_timestamp14(header["datetime"]),
             self._variant_key(header["variant"]),
             int(header["id"]),
             uri[0],
-            status,
+            _checked_status(int(header["status"])),
             self._header_list(header["request_headers"]),
             self._header_list(header["response_headers"]),
             offset,
@@ -625,10 +617,10 @@ class ArchiveStore:
 
         Nearest means least |datetime - target|, then the earlier datetime,
         then the smaller id. With `request_headers`, only captures whose
-        variant key those headers reproduce under the store's
-        `variant_config` are candidates. The request's value for each
-        dimension is computed once per call, then each group is found by its
-        key.
+        variant key those headers reproduce under the store's config are
+        candidates, and None means that none matched (the one match rule). The
+        request's value for each dimension is computed once per call, and
+        each group is found by its key.
         """
         index = self._by_uri.get(str(uri))
         if index is None:

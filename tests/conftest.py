@@ -1,6 +1,7 @@
 """Shared fixtures: the simulated site, a deterministic clock, fresh
-archives under the case's temporary directory, and builders for the
-scripted capture schedule used by the replay and analyzer tests."""
+archives under the case's temporary directory, builders for the scripted
+capture schedule used by the replay and analyzer tests, and the
+brute-force selection oracle."""
 
 from __future__ import annotations
 
@@ -15,12 +16,19 @@ from archivelab.crawler import scripted_crawl
 from archivelab.demo import scenario_schedule
 from archivelab.http_core import Headers, canonicalize
 from archivelab.origin import SiteConfig, fetch_fn
+from archivelab.replay import (
+    FALLBACK_NEAREST_ANY,
+    FALLBACK_NOT_FOUND,
+    VARIANT_AWARE,
+    Selection,
+)
 from archivelab.store import (
     ArchiveRecord,
     ArchiveStore,
     VariantConfig,
     VariantKey,
     derive_variant_key,
+    variant_value,
 )
 
 START = datetime(2019, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -115,3 +123,28 @@ def build_defacement_store(site: SiteConfig, directory: Path):
     for record in records:
         store.append(record)
     return store, site.base() + "/", records[1].datetime
+
+
+def reproduces(key: VariantKey, headers: Headers, cfg: VariantConfig) -> bool:
+    """The reference match rule: `headers` give every dimension value of `key`."""
+    return all(variant_value(headers, dimension, cfg) == value for dimension, value in key.pairs)
+
+
+def brute_force_select(records, uri, target, mode, headers, cfg) -> Selection | None:
+    """Independent selection oracle: a linear scan over every record of a
+    store. Returns the `Selection` that `select_memento` must return: the
+    record, and the fallback that chose it."""
+    candidates = [r for r in records if str(r.uri) == str(uri)]
+    fallback = None
+    if mode.kind == VARIANT_AWARE:
+        matching = [r for r in candidates if reproduces(r.variant_key, headers, cfg)]
+        if matching:
+            candidates = matching
+        elif mode.fallback == FALLBACK_NOT_FOUND:
+            return None
+        else:
+            fallback = FALLBACK_NEAREST_ANY
+    if not candidates:
+        return None
+    chosen = min(candidates, key=lambda r: (abs(r.datetime - target), r.datetime, r.id))
+    return Selection(chosen, fallback)

@@ -26,13 +26,14 @@ from archivelab.demo import scenario_schedule
 from archivelab.http_core import Headers, HttpRequest, canonicalize, parse_set_cookie
 from archivelab.origin import SiteConfig, fetch_fn, handle
 from archivelab.replay import (
+    FALLBACK_NEAREST_ANY,
     FALLBACK_NOT_FOUND,
     ReplayMode,
     reconstruct_composite,
     select_memento,
 )
-from archivelab.store import ArchiveStore, VariantConfig, variant_matches
-from conftest import START, make_record
+from archivelab.store import ArchiveStore, VariantConfig
+from conftest import START, brute_force_select, make_record
 
 SITE = SiteConfig(host="twitter.com")
 FETCH = fetch_fn(SITE)
@@ -188,27 +189,14 @@ def _random_selection_case(rng: random.Random, store: ArchiveStore):
     return uri, target, headers
 
 
-def _oracle_select(records, uri, target, mode, headers):
-    candidates = [r for r in records if str(r.uri) == str(uri)]
-    if mode.kind == "variant_aware":
-        matching = [
-            r for r in candidates if variant_matches(r.variant_key, headers, CFG)
-        ]
-        if matching:
-            candidates = matching
-        elif mode.fallback == FALLBACK_NOT_FOUND:
-            return None
-    if not candidates:
-        return None
-    return min(candidates, key=lambda r: (abs(r.datetime - target), r.datetime, r.id))
-
-
 def test_criterion_5_selection_oracle(tmp_path, no_fsync):
     """1,000 random cases: baseline equals the argmin-|dt| oracle, variant
-    equals restrict-then-argmin. Zero mismatches tolerated."""
+    equals restrict-then-argmin, and the fallback that chose each capture
+    equals the oracle's. Zero mismatches tolerated."""
     with criterion(5, "selection equals brute-force oracle on 1,000 cases"):
         rng = random.Random(20190401)
         mismatches = 0
+        fallbacks = Counter()
         for case in range(1000):
             with ArchiveStore.create(tmp_path / f"case{case}", CFG) as store:
                 uri, target, headers = _random_selection_case(rng, store)
@@ -219,12 +207,13 @@ def test_criterion_5_selection_oracle(tmp_path, no_fsync):
                     ReplayMode.variant_aware(FALLBACK_NOT_FOUND),
                 ):
                     got = select_memento(store, uri, target, mode, headers)
-                    expected = _oracle_select(records, uri, target, mode, headers)
-                    got_id = None if got is None else got.id
-                    expected_id = None if expected is None else expected.id
-                    if got_id != expected_id:
+                    expected = brute_force_select(records, uri, target, mode, headers, CFG)
+                    if got != expected:
                         mismatches += 1
+                    elif expected is not None and mode.kind == "variant_aware":
+                        fallbacks[expected.fallback] += 1
         assert mismatches == 0
+        assert fallbacks[None] and fallbacks[FALLBACK_NEAREST_ANY]
 
 
 def test_criterion_6_store_integrity(tmp_path):

@@ -116,7 +116,7 @@ class TestDetectViolations:
             )
         for i in range(missing):
             parts.append((f"https://a.example/gone/{i}", None))
-        return CompositeMemento(root, tuple(parts), START)
+        return CompositeMemento(root, tuple(parts))
 
     def test_mixed_three_language_composite(self):
         report = detect_violations(self._composite("pt", ["ur", "en"]))

@@ -373,7 +373,7 @@ class TestReplayCommand:
                 record = next(store.iter_records())
                 expected = select_memento(
                     store, record.uri, record.datetime, ReplayMode.baseline()
-                )
+                ).record
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
             conn.request("GET", f"/web/{record.timestamp14}/{record.uri}")
             response = conn.getresponse()

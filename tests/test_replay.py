@@ -12,7 +12,10 @@ import pytest
 
 from archivelab.cookiejar import import_netscape
 from archivelab.http_core import Headers, canonicalize
+from archivelab import replay
+from archivelab import store as store_module
 from archivelab.replay import (
+    FALLBACK_NEAREST_ANY,
     FALLBACK_NOT_FOUND,
     ReplayMode,
     make_replay_server,
@@ -20,27 +23,17 @@ from archivelab.replay import (
     replay_headers,
     select_memento,
 )
-from archivelab.store import ArchiveStore, VariantConfig, variant_matches
-from conftest import START, build_defacement_store, make_record
+from archivelab.store import ArchiveStore, VariantConfig
+from conftest import (
+    START,
+    brute_force_select,
+    build_defacement_store,
+    make_record,
+    reproduces,
+)
 
 CFG = VariantConfig()
 URI = "https://a.example/"
-
-
-def brute_force_select(records, uri, target, mode, headers, cfg):
-    """Independent oracle: linear scan over every record of a store."""
-    candidates = [r for r in records if str(r.uri) == str(uri)]
-    if mode.kind == "variant_aware":
-        matching = [
-            r for r in candidates if variant_matches(r.variant_key, headers, cfg)
-        ]
-        if matching:
-            candidates = matching
-        elif mode.fallback == FALLBACK_NOT_FOUND:
-            return None
-    if not candidates:
-        return None
-    return min(candidates, key=lambda r: (abs(r.datetime - target), r.datetime, r.id))
 
 
 def _two_variant_store(new_store):
@@ -58,19 +51,21 @@ def _two_variant_store(new_store):
 class TestSelectMemento:
     def test_baseline_picks_nearest(self, new_store):
         with _two_variant_store(new_store) as store:
-            record = select_memento(store, URI, START, ReplayMode.baseline())
-        assert record.datetime == START - timedelta(seconds=10)  # the kn capture
+            selection = select_memento(store, URI, START, ReplayMode.baseline())
+        assert selection.record.datetime == START - timedelta(seconds=10)  # the kn capture
+        assert selection.fallback is None
 
     def test_variant_restricts_then_nearest(self, new_store):
         with _two_variant_store(new_store) as store:
-            record = select_memento(
+            selection = select_memento(
                 store,
                 URI,
                 START,
                 ReplayMode.variant_aware(),
                 Headers([("cookie", "lang=en")]),
             )
-        assert record.datetime == START + timedelta(seconds=30)
+        assert selection.record.datetime == START + timedelta(seconds=30)
+        assert selection.fallback is None
 
     def test_empty_store_not_found(self, new_store):
         with new_store() as store:
@@ -80,12 +75,12 @@ class TestSelectMemento:
         with new_store(CFG) as store:
             before = store.append(make_record(URI, START - timedelta(seconds=5)))
             store.append(make_record(URI, START + timedelta(seconds=5)))
-            chosen = select_memento(store, URI, START, ReplayMode.baseline())
+            chosen = select_memento(store, URI, START, ReplayMode.baseline()).record
         assert chosen.id == before
         with new_store(CFG) as same_time:
             first = same_time.append(make_record(URI, START))
             same_time.append(make_record(URI, START))
-            assert select_memento(same_time, URI, START, ReplayMode.baseline()).id == first
+            assert select_memento(same_time, URI, START, ReplayMode.baseline()).record.id == first
 
     def test_fallback_not_found(self, new_store):
         with _two_variant_store(new_store) as store:
@@ -100,14 +95,15 @@ class TestSelectMemento:
 
     def test_fallback_nearest_any_degrades_to_baseline(self, new_store):
         with _two_variant_store(new_store) as store:
-            record = select_memento(
+            selection = select_memento(
                 store,
                 URI,
                 START,
                 ReplayMode.variant_aware(),
                 Headers([("cookie", "lang=ur")]),
             )
-        assert record.datetime == START - timedelta(seconds=10)
+        assert selection.record.datetime == START - timedelta(seconds=10)
+        assert selection.fallback == FALLBACK_NEAREST_ANY
 
     def test_selection_compares_under_the_store_config(self, tmp_path):
         cfg = VariantConfig(content_cookie_names=frozenset({"lang", "_sess"}))
@@ -203,10 +199,7 @@ class TestSelectionOracle:
                 uri, target, mode, headers = _random_case(rng, store)
                 got = select_memento(store, uri, target, mode, headers)
                 records = list(store.iter_records())
-            expected = brute_force_select(records, uri, target, mode, headers, CFG)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert got.id == expected.id
+            assert got == brute_force_select(records, uri, target, mode, headers, CFG)
 
     def test_matches_brute_force_on_large_stores(self, tmp_path, no_fsync):
         # Thousands of captures per URI, reopened from disk, with appends after
@@ -237,27 +230,74 @@ class TestSelectionOracle:
                     expected = brute_force_select(
                         appended, uri, target, mode, headers, LARGE_STORE_CFG
                     )
-                    got = select_memento(reopened, uri, target, mode, headers)
-                    assert (got is None) == (expected is None)
-                    if got is not None:
-                        assert got.id == expected.id
+                    assert select_memento(reopened, uri, target, mode, headers) == expected
                     if mode.fallback == FALLBACK_NOT_FOUND and expected is not None:
-                        matched_dimensions.add(tuple(d for d, _ in expected.variant_key.pairs))
+                        pairs = expected.record.variant_key.pairs
+                        matched_dimensions.add(tuple(d for d, _ in pairs))
             # every kind of key was a match at least once: empty, Vary: *,
             # Cookie alone, and Cookie with Accept-Language
             assert {(), ("cookie",), ("accept-language", "cookie")} <= matched_dimensions
             assert any("host" in dims for dims in matched_dimensions)
+            # every URI above holds empty keys, which match every request, so
+            # the fallback rung needs a URI whose captures are all keyed
+            keyed = "https://big.example/keyed"
+            for _ in range(1000):
+                record = make_record(
+                    keyed,
+                    START + timedelta(seconds=rng.randrange(span_s)),
+                    request_cookie=rng.choice(["lang=kn", "lang=en"]),
+                    vary="Cookie",
+                    cfg=LARGE_STORE_CFG,
+                )
+                appended.append(replace(record, id=reopened.append(record)))
+            fallbacks = set()
+            for _ in range(30):
+                _, target, headers = _large_query(rng, span_s)
+                for mode in modes:
+                    expected = brute_force_select(
+                        appended, keyed, target, mode, headers, LARGE_STORE_CFG
+                    )
+                    assert select_memento(reopened, keyed, target, mode, headers) == expected
+                    if mode.kind == "variant_aware" and expected is not None:
+                        fallbacks.add(expected.fallback)
+            assert fallbacks == {None, FALLBACK_NEAREST_ANY}
 
     def test_variant_results_always_match_context(self, new_store, no_fsync):
         rng = random.Random(515)
         for _ in range(200):
             with new_store(CFG) as store:
                 uri, target, _, headers = _random_case(rng, store)
-                record = select_memento(
+                selection = select_memento(
                     store, uri, target, ReplayMode.variant_aware(FALLBACK_NOT_FOUND), headers
                 )
-            if record is not None:
-                assert variant_matches(record.variant_key, headers, CFG)
+            if selection is not None:
+                assert selection.fallback is None
+                assert reproduces(selection.record.variant_key, headers, CFG)
+
+
+@pytest.mark.parametrize(
+    "cookie, fallback", [("lang=en", None), ("lang=ur", "variant-mismatch")],
+    ids=["matched", "fallback"],
+)
+def test_respond_derives_the_request_variant_once(new_store, monkeypatch, cookie, fallback):
+    # One cookie dimension: selection derives the request's value once, and
+    # the fallback header is read off the selection, not derived again.
+    calls = []
+    real_variant_value = store_module.variant_value
+
+    def counting_variant_value(*args):
+        calls.append(args)
+        return real_variant_value(*args)
+
+    with _two_variant_store(new_store) as store:
+        monkeypatch.setattr(store_module, "variant_value", counting_variant_value)
+        response = replay._respond(
+            store, ReplayMode.variant_aware(), None, f"/web/{START:%Y%m%d%H%M%S}/{URI}",
+            Headers([("cookie", cookie)]),
+        )
+    assert response.status == 200
+    assert response.headers.get("x-archive-fallback") == fallback
+    assert len(calls) == 1
 
 
 class TestComposite:
@@ -374,7 +414,9 @@ class TestHttpService:
         try:
             ts = (START + timedelta(seconds=2)).strftime("%Y%m%d%H%M%S")
             response, body = self._get(port, f"/web/{ts}/{URI}")
-            expected = select_memento(store, URI, START + timedelta(seconds=2), ReplayMode.baseline())
+            expected = select_memento(
+                store, URI, START + timedelta(seconds=2), ReplayMode.baseline()
+            ).record
             assert response.status == 200
             assert body == expected.body
             assert response.headers["Memento-Datetime"].endswith("GMT")

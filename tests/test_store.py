@@ -19,7 +19,6 @@ from archivelab.store import (
     VariantConfig,
     VariantKey,
     derive_variant_key,
-    variant_matches,
     variant_value,
 )
 from conftest import START, make_record
@@ -80,11 +79,18 @@ class TestDeriveVariantKey:
         assert key.encoded is key.encoded  # computed once per key
         assert key == VariantKey(key.pairs) and hash(key) == hash(VariantKey(key.pairs))
 
-    def test_variant_matches(self):
-        key = VariantKey((("cookie", "lang=kn"),))
-        assert variant_matches(key, Headers([("cookie", "lang=kn; _sess=zz")]), CFG)
-        assert not variant_matches(key, Headers([("cookie", "lang=en")]), CFG)
-        assert variant_matches(VariantKey(), Headers(), CFG)  # empty key matches all
+    def test_variant_matches(self, new_store):
+        # `nearest` with request headers is the one variant match rule
+        uri = "https://a.example/"
+        with new_store(CFG) as store:
+            kn = store.append(make_record(uri, START, request_cookie="lang=kn"))
+            assert store.nearest(uri, START, Headers([("cookie", "lang=kn; _sess=zz")])).id == kn
+            assert store.nearest(uri, START, Headers([("cookie", "lang=en")])) is None
+        with new_store(VariantConfig(implied_vary=())) as store:
+            empty = store.append(make_record(uri, START, cfg=VariantConfig(implied_vary=())))
+            assert store.get_record(empty).variant_key == VariantKey()
+            for request in (Headers(), Headers([("cookie", "lang=en")])):
+                assert store.nearest(uri, START, request).id == empty  # empty key matches all
 
 
 class TestAppendAndLookup:
@@ -301,6 +307,33 @@ class TestDiskFormat:
             problems = reopened.verify()
         assert problems[0].startswith("index line 3 malformed")
         assert problems[1:] == ["record 3 missing from index"]
+
+    @pytest.mark.parametrize("status", [0, 100, 599])
+    def test_capture_status_accepted(self, tmp_path, status):
+        with ArchiveStore.create(tmp_path / "arch", CFG) as store:
+            store.append(make_record("https://a.example/", START, status=status))
+        with ArchiveStore.open(tmp_path / "arch") as reopened:
+            assert reopened.get_record(1).response_status == status
+
+    @pytest.mark.parametrize("status", [1, 99, 600])
+    def test_capture_status_refused_appended_and_in_a_frame(self, tmp_path, status):
+        # a capture's status is 0 (a failed fetch) or 100-599, the statuses
+        # an HttpResponse can carry
+        with pytest.raises(ValueError, match="status out of range"):
+            make_record("https://a.example/", START, status=status)
+        forced = make_record("https://a.example/", START)
+        object.__setattr__(forced, "response_status", status)
+        directory = tmp_path / "arch"
+        with ArchiveStore.create(directory, CFG) as store:
+            with pytest.raises(ValueError, match="status out of range"):
+                store.append(forced)
+            assert len(store) == 0
+            store.append(make_record("https://a.example/", START))
+        records = directory / "records.dat"
+        assert records.read_bytes().count(b'"status":200') == 1
+        records.write_bytes(records.read_bytes().replace(b'"status":200', b'"status":%d' % status))
+        with pytest.raises(StoreError, match="corrupt record frame: response status out of range"):
+            ArchiveStore.open(directory)
 
     def test_duplicate_frame_id_is_rejected_on_open(self, tmp_path):
         with ArchiveStore.create(tmp_path / "arch", CFG) as store:
